@@ -2,8 +2,8 @@
 //! a fixed corpus scale, written to `BENCH_shuffle.json` so each perf PR
 //! measures itself against the recorded trajectory.
 //!
-//! Seven configurations isolate the shuffle fast-path levers, the input
-//! stage, and the pipelined overlap:
+//! Six configurations isolate the shuffle fast-path levers and the input
+//! stage:
 //!
 //! * `baseline`    — plain codec, prefix-digest sort *disabled* (the
 //!   pre-optimization engine);
@@ -16,12 +16,8 @@
 //!   out-of-core input stage, with the input-side counters
 //!   (`input_bytes`, `input_blocks`, `input_peak_block_bytes`) recording
 //!   what the map tasks actually fetched;
-//! * `store-front` — the store input with front-coded runs, synchronous:
-//!   the ablation twin of `pipelined`;
-//! * `pipelined`   — `store-front` plus `JobConfig::pipelined`: block
-//!   prefetch, spill-writer threads, reduce read-ahead. The three
-//!   `*_stall_nanos` keys record the residual waits the overlap failed to
-//!   hide (zero on every synchronous config);
+//! * `store-front` — the store input with front-coded runs and a small
+//!   sort buffer, so every map task spills several times mid-map;
 //! * `store-rank`  — the `store` leg reading a `StoreCodec::Rank`
 //!   compressed store: on-disk input bytes shrink
 //!   (`input_bytes / input_raw_bytes` is the store compression ratio,
@@ -55,15 +51,13 @@ enum BenchInput<'a> {
     Store(Arc<CorpusReader>),
 }
 
-/// One benchmark configuration: name, run codec, prefix sort, pipelined,
+/// One benchmark configuration: name, run codec, prefix sort,
 /// sort-buffer bytes (`0` = the engine default).
-type Config = (&'static str, RunCodec, bool, bool, usize);
+type Config = (&'static str, RunCodec, bool, usize);
 
-/// Sort buffer of the `store-front` / `pipelined` twin legs: small enough
-/// that every map task spills several times mid-map — the regime the
-/// spill pipeline overlaps (with the default 64 MiB buffer this workload
-/// only ever spills once, at task end, where there is nothing left to
-/// overlap).
+/// Sort buffer of the `store-front` leg: small enough that every map task
+/// spills several times mid-map (with the default 64 MiB buffer this
+/// workload only ever spills once, at task end).
 const SPILLY_SORT_BUFFER: usize = 256 * 1024;
 
 struct Entry {
@@ -71,7 +65,6 @@ struct Entry {
     config: &'static str,
     codec: RunCodec,
     prefix_sort: bool,
-    pipelined: bool,
     wall: Duration,
     map_sort: Duration,
     raw_run_bytes: u64,
@@ -83,9 +76,6 @@ struct Entry {
     input_raw_bytes: u64,
     input_blocks: u64,
     input_peak_block_bytes: u64,
-    input_stall_nanos: u64,
-    spill_stall_nanos: u64,
-    decode_stall_nanos: u64,
     task_attempts: u64,
     task_retries: u64,
     task_panics: u64,
@@ -103,11 +93,10 @@ struct Entry {
 /// The [`NGramParams`] of one configuration; `trace` turns span tracing
 /// on for the extra profiled rep only.
 fn bench_params(config: Config, trace: bool) -> NGramParams {
-    let (_, codec, prefix_sort, pipelined, sort_buffer) = config;
+    let (_, codec, prefix_sort, sort_buffer) = config;
     let mut params = NGramParams::new(5, 5);
     params.job.run_codec = codec;
     params.job.prefix_sort = prefix_sort;
-    params.job.pipelined = pipelined;
     params.job.trace = trace;
     if sort_buffer > 0 {
         params.job.sort_buffer_bytes = sort_buffer;
@@ -139,7 +128,7 @@ fn run_one(
     method: Method,
     config: Config,
 ) -> Entry {
-    let (name, codec, prefix_sort, pipelined, _) = config;
+    let (name, codec, prefix_sort, _) = config;
     let mut best: Option<Entry> = None;
     for _ in 0..REPS {
         let params = bench_params(config, false);
@@ -150,7 +139,6 @@ fn run_one(
             config: name,
             codec,
             prefix_sort,
-            pipelined,
             wall: result.elapsed,
             map_sort: Duration::from_nanos(c.get(Counter::MapSortNanos)),
             raw_run_bytes: c.get(Counter::RawRunBytes),
@@ -162,9 +150,6 @@ fn run_one(
             input_raw_bytes: c.get(Counter::InputRawBytes),
             input_blocks: c.get(Counter::InputBlocksRead),
             input_peak_block_bytes: c.get(Counter::InputPeakBlockBytes),
-            input_stall_nanos: c.get(Counter::MapInputStallNanos),
-            spill_stall_nanos: c.get(Counter::SpillStallNanos),
-            decode_stall_nanos: c.get(Counter::ReduceDecodeStallNanos),
             task_attempts: c.get(Counter::TaskAttempts),
             task_retries: c.get(Counter::TaskRetries),
             task_panics: c.get(Counter::TaskPanics),
@@ -213,9 +198,7 @@ fn json_line(e: &Entry) -> String {
             "\"raw_run_bytes\": {}, \"encoded_run_bytes\": {}, ",
             "\"shuffle_bytes\": {}, \"spills\": {}, \"map_output_records\": {}, ",
             "\"input_bytes\": {}, \"input_blocks\": {}, \"input_peak_block_bytes\": {}, ",
-            "\"output_grams\": {}, \"pipelined\": {}, ",
-            "\"map_input_stall_nanos\": {}, \"spill_stall_nanos\": {}, ",
-            "\"reduce_decode_stall_nanos\": {}, \"input_raw_bytes\": {}, ",
+            "\"output_grams\": {}, \"input_raw_bytes\": {}, ",
             "\"task_attempts\": {}, \"task_retries\": {}, \"task_panics\": {}, ",
             "\"map_wall_nanos\": {}, \"merge_wall_nanos\": {}, ",
             "\"reduce_wall_nanos\": {}, \"task_skew\": {:.3}, ",
@@ -237,10 +220,6 @@ fn json_line(e: &Entry) -> String {
         e.input_blocks,
         e.input_peak_block_bytes,
         e.output,
-        e.pipelined,
-        e.input_stall_nanos,
-        e.spill_stall_nanos,
-        e.decode_stall_nanos,
         e.input_raw_bytes,
         e.task_attempts,
         e.task_retries,
@@ -299,29 +278,21 @@ fn main() {
     }
 
     const MEM_CONFIGS: [Config; 3] = [
-        ("baseline", RunCodec::Plain, false, false, 0),
-        ("prefix", RunCodec::Plain, true, false, 0),
-        ("front", RunCodec::FrontCoded, true, false, 0),
+        ("baseline", RunCodec::Plain, false, 0),
+        ("prefix", RunCodec::Plain, true, 0),
+        ("front", RunCodec::FrontCoded, true, 0),
     ];
-    const STORE_CONFIGS: [Config; 3] = [
-        ("store", RunCodec::Plain, true, false, 0),
+    const STORE_CONFIGS: [Config; 2] = [
+        ("store", RunCodec::Plain, true, 0),
         (
             "store-front",
             RunCodec::FrontCoded,
-            true,
-            false,
-            SPILLY_SORT_BUFFER,
-        ),
-        (
-            "pipelined",
-            RunCodec::FrontCoded,
-            true,
             true,
             SPILLY_SORT_BUFFER,
         ),
     ];
     // The twin of `store`, reading the rank-compressed store instead.
-    const RANK_CONFIGS: [Config; 1] = [("store-rank", RunCodec::Plain, true, false, 0)];
+    const RANK_CONFIGS: [Config; 1] = [("store-rank", RunCodec::Plain, true, 0)];
 
     let mut entries: Vec<Entry> = Vec::new();
     for method in Method::ALL {
@@ -352,7 +323,7 @@ fn main() {
                 config,
             );
             eprintln!(
-                "{:>14} {:>11}: wall {:>8}  map-sort {:>8}  input {} disk / {} raw in {} blocks (peak {})  stalls in/sp/dec {:.1}/{:.1}/{:.1} ms",
+                "{:>14} {:>11}: wall {:>8}  map-sort {:>8}  input {} disk / {} raw in {} blocks (peak {})",
                 e.method,
                 e.config,
                 fmt_duration(e.wall),
@@ -361,9 +332,6 @@ fn main() {
                 fmt_bytes(e.input_raw_bytes),
                 e.input_blocks,
                 fmt_bytes(e.input_peak_block_bytes),
-                e.input_stall_nanos as f64 / 1e6,
-                e.spill_stall_nanos as f64 / 1e6,
-                e.decode_stall_nanos as f64 / 1e6,
             );
             entries.push(e);
         }
@@ -380,7 +348,7 @@ fn main() {
             std::env::temp_dir().join(format!("shuffle-bench-ckpt-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&ckpt_root);
         let run_ckpt = |resume: bool| {
-            let mut params = bench_params(("front", RunCodec::FrontCoded, true, false, 0), false);
+            let mut params = bench_params(("front", RunCodec::FrontCoded, true, 0), false);
             params.job.checkpoint = Some(Arc::new(
                 mapreduce::CheckpointSpec::new(&ckpt_root, "shuffle-bench").resume(resume),
             ));

@@ -133,8 +133,8 @@ pub struct NGramResult {
     pub elapsed: Duration,
 }
 
-/// Telemetry of a sink-directed computation: what [`compute_to_sink`]
-/// reports besides the records it pushed into the caller's sinks.
+/// Telemetry of a sink-directed computation: what
+/// [`Computation::run_to_sink`] reports besides the records it pushed into the caller's sinks.
 #[derive(Clone, Debug)]
 pub struct NGramRunStats {
     /// Counters summed over every job of the run.
@@ -196,9 +196,7 @@ pub enum ComputeInput<'a> {
 /// One n-gram statistics computation: a method, its parameters, and an
 /// input, run on a cluster.
 ///
-/// This is the single entry point that replaced the
-/// `compute` / `compute_to_sink` / `compute_from_store` /
-/// `compute_store_to_sink` / `compute_source_to_sink` family: pick the
+/// This is the single entry point for n-gram statistics: pick the
 /// input shape with one of the `input*` builders, then either collect
 /// ([`run`](Computation::run)) or stream into sinks
 /// ([`run_to_sink`](Computation::run_to_sink)).
@@ -319,8 +317,7 @@ impl<'a> Computation<'a> {
             }
             ComputeInput::Store(reader) => {
                 let provider =
-                    StoreInput::new(Arc::clone(reader), self.params.tau, self.params.split_docs)
-                        .pipelined(self.params.job.effective_pipelined());
+                    StoreInput::new(Arc::clone(reader), self.params.tau, self.params.split_docs);
                 run_source_to_sink(cluster, &provider, self.method, &self.params, sinks)
             }
             ComputeInput::Records(records) => {
@@ -328,99 +325,6 @@ impl<'a> Computation<'a> {
             }
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Deprecated free-function entry points (thin wrappers over Computation)
-// ---------------------------------------------------------------------------
-
-/// Compute n-gram statistics with the chosen method.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Computation::new(method, params).input(coll).run(cluster)`"
-)]
-pub fn compute(
-    cluster: &Cluster,
-    coll: &Collection,
-    method: Method,
-    params: &NGramParams,
-) -> Result<NGramResult> {
-    Computation::new(method, params).input(coll).run(cluster)
-}
-
-/// Compute n-gram statistics, pushing every result record into sinks.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Computation::new(method, params).input(coll).run_to_sink(cluster, sinks)`"
-)]
-pub fn compute_to_sink<F>(
-    cluster: &Cluster,
-    coll: &Collection,
-    method: Method,
-    params: &NGramParams,
-    sinks: &F,
-) -> Result<(Vec<F::Artifact>, NGramRunStats)>
-where
-    F: RecordSinkFactory<Gram, u64>,
-{
-    Computation::new(method, params)
-        .input(coll)
-        .run_to_sink(cluster, sinks)
-}
-
-/// Compute n-gram statistics straight from a block-store corpus.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Computation::new(method, params).input_store(reader).run(cluster)`"
-)]
-pub fn compute_from_store(
-    cluster: &Cluster,
-    reader: &Arc<CorpusReader>,
-    method: Method,
-    params: &NGramParams,
-) -> Result<NGramResult> {
-    Computation::new(method, params)
-        .input_store(Arc::clone(reader))
-        .run(cluster)
-}
-
-/// Compute n-gram statistics from a block-store corpus into sinks.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Computation::new(method, params).input_store(reader).run_to_sink(cluster, sinks)`"
-)]
-pub fn compute_store_to_sink<F>(
-    cluster: &Cluster,
-    reader: &Arc<CorpusReader>,
-    method: Method,
-    params: &NGramParams,
-    sinks: &F,
-) -> Result<(Vec<F::Artifact>, NGramRunStats)>
-where
-    F: RecordSinkFactory<Gram, u64>,
-{
-    Computation::new(method, params)
-        .input_store(Arc::clone(reader))
-        .run_to_sink(cluster, sinks)
-}
-
-/// Compute n-gram statistics over any [`InputProvider`].
-#[deprecated(
-    since = "0.1.0",
-    note = "use `Computation` with `.input()`, `.input_store()`, or `.input_records()`"
-)]
-pub fn compute_source_to_sink<P, F>(
-    cluster: &Cluster,
-    input: &P,
-    method: Method,
-    params: &NGramParams,
-    sinks: &F,
-) -> Result<(Vec<F::Artifact>, NGramRunStats)>
-where
-    P: InputProvider,
-    F: RecordSinkFactory<Gram, u64>,
-{
-    run_source_to_sink(cluster, input, method, params, sinks)
 }
 
 /// The engine under every [`Computation`]: dispatch `(method, mode)` over
@@ -557,7 +461,7 @@ where
 /// Compute per-year time series (§VI-B) with NAÏVE or SUFFIX-σ, pushing
 /// every `(gram, series)` record into sinks created from `sinks` *during*
 /// the reduce phase — the streaming sibling of [`compute_time_series`],
-/// mirroring [`compute_to_sink`]. Nothing materializes the result set;
+/// mirroring [`Computation::run_to_sink`]. Nothing materializes the result set;
 /// the input is fed to the job as a borrowed slice.
 ///
 /// The APRIORI methods are not extended here, matching the paper, which

@@ -61,10 +61,6 @@ pub use apriori_index::{
 pub use apriori_scan::{
     apriori_scan, apriori_scan_streamed, CountingReducer, GramDict, ScanMapper, ScanParams,
 };
-#[allow(deprecated)]
-pub use driver::{
-    compute, compute_from_store, compute_source_to_sink, compute_store_to_sink, compute_to_sink,
-};
 pub use driver::{
     compute_inverted_index, compute_inverted_index_to_sink, compute_time_series,
     compute_time_series_to_sink, validate_params, Computation, ComputeInput, Method, NGramParams,

@@ -74,7 +74,7 @@ fn multikey_quicksort(suffixes: &mut [&[u32]], depth: usize) {
 /// Compute all n-grams with `cf ≥ tau` and `len ≤ sigma` on a single
 /// machine by suffix sorting and one aggregation sweep.
 ///
-/// Functionally identical to [`crate::compute`] with
+/// Functionally identical to a [`crate::Computation`] with
 /// [`crate::Method::SuffixSigma`]; exists as the in-memory baseline
 /// (no shuffle, no serialization) and scales to corpora that fit in RAM.
 pub fn suffix_sort_counts(input: &[(u64, InputSeq)], tau: u64, sigma: usize) -> Vec<(Gram, u64)> {

@@ -14,10 +14,9 @@
 //! shuffle erases.
 
 use crate::input::{flatten_document, InputProvider, InputSeq};
-use corpus::{CorpusReader, Document};
+use corpus::CorpusReader;
 use mapreduce::{InputStats, RecordSource, RecordStream, Result};
 use std::sync::Arc;
-use std::time::Instant;
 
 /// Size-balanced (LPT — longest processing time first) assignment of a
 /// store's blocks to `n` splits using the footer's block byte sizes:
@@ -70,7 +69,6 @@ pub struct CorpusSplitSource {
     reader: Arc<CorpusReader>,
     tau: u64,
     split_at_tau: bool,
-    pipelined: bool,
 }
 
 impl CorpusSplitSource {
@@ -81,18 +79,7 @@ impl CorpusSplitSource {
             reader,
             tau,
             split_at_tau,
-            pipelined: false,
         }
-    }
-
-    /// Enable double-buffered block prefetch: each split's stream runs
-    /// the positioned read + varint decode of block *k+1* on a background
-    /// thread while the map task flattens block *k*. Costs one extra
-    /// resident block, witnessed by the stream's
-    /// [`InputStats::peak_block_bytes`].
-    pub fn pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
     }
 }
 
@@ -115,7 +102,6 @@ impl RecordSource<u64, InputSeq> for CorpusSplitSource {
                 blocks,
                 tau: self.tau,
                 split_at_tau: self.split_at_tau,
-                pipelined: self.pipelined,
                 stats: InputStats::default(),
             })
             .collect())
@@ -123,20 +109,17 @@ impl RecordSource<u64, InputSeq> for CorpusSplitSource {
 }
 
 /// One map task's share of a store: a set of whole blocks, read with
-/// positioned I/O and flattened one block at a time — or, pipelined, with
-/// the next block read and decoded in the background while the current
-/// one is flattened.
+/// positioned I/O and flattened one block at a time.
 pub struct CorpusSplitStream {
     reader: Arc<CorpusReader>,
     blocks: Vec<usize>,
     tau: u64,
     split_at_tau: bool,
-    pipelined: bool,
     stats: InputStats,
 }
 
-impl CorpusSplitStream {
-    fn for_each_sync(&mut self, f: &mut dyn FnMut(&u64, &InputSeq) -> Result<()>) -> Result<()> {
+impl RecordStream<u64, InputSeq> for CorpusSplitStream {
+    fn for_each(&mut self, f: &mut dyn FnMut(&u64, &InputSeq) -> Result<()>) -> Result<()> {
         let cfs = Arc::clone(self.reader.unigram_cf());
         let cf = move |t: u32| cfs.get(t as usize).copied().unwrap_or(0);
         let cf_ref: Option<&dyn Fn(u32) -> u64> = if self.split_at_tau { Some(&cf) } else { None };
@@ -164,74 +147,6 @@ impl CorpusSplitStream {
         Ok(())
     }
 
-    /// Double-buffered variant: a scoped prefetcher thread reads and
-    /// decodes blocks in order over a rendezvous channel, so the read of
-    /// block *k+1* overlaps the flattening of block *k*. At most two
-    /// blocks are resident at once (the one being flattened plus the one
-    /// being prefetched); the peak counter witnesses the pair. Time spent
-    /// blocked on the channel is the residual input latency the overlap
-    /// could not hide, reported via [`InputStats::stall_nanos`].
-    fn for_each_prefetch(
-        &mut self,
-        f: &mut dyn FnMut(&u64, &InputSeq) -> Result<()>,
-    ) -> Result<()> {
-        let cfs = Arc::clone(self.reader.unigram_cf());
-        let cf = move |t: u32| cfs.get(t as usize).copied().unwrap_or(0);
-        let cf_ref: Option<&dyn Fn(u32) -> u64> = if self.split_at_tau { Some(&cf) } else { None };
-        let reader = Arc::clone(&self.reader);
-        let blocks = self.blocks.clone();
-        type Fetched = std::io::Result<(Vec<Document>, u64, u64)>;
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Fetched>(0);
-        let stats = &mut self.stats;
-        let (tau, blocks_total) = (self.tau, self.blocks.len());
-        std::thread::scope(move |scope| -> Result<()> {
-            scope.spawn(move || {
-                for &b in &blocks {
-                    let entry = reader.block_entry(b);
-                    let fetched = reader
-                        .read_block(b)
-                        .map(|docs| (docs, entry.bytes, entry.raw_bytes));
-                    if tx.send(fetched).is_err() {
-                        return; // consumer aborted; stop fetching
-                    }
-                }
-            });
-            let mut prev_raw = 0u64;
-            for _ in 0..blocks_total {
-                let waited = Instant::now();
-                let fetched = rx.recv();
-                stats.stall_nanos += waited.elapsed().as_nanos() as u64;
-                let (docs, bytes, raw_bytes) = match fetched {
-                    Ok(res) => res?,
-                    Err(_) => break, // producer gone (only after an error)
-                };
-                stats.bytes_read += bytes;
-                stats.raw_bytes += raw_bytes;
-                stats.blocks_read += 1;
-                // Residency witness: the decoded block being flattened
-                // plus the one the prefetcher decoded behind it.
-                stats.peak_block_bytes = stats.peak_block_bytes.max(prev_raw + raw_bytes);
-                prev_raw = raw_bytes;
-                for d in &docs {
-                    flatten_document(d.id, d.year, &d.sentences, tau, cf_ref, &mut |did, seq| {
-                        f(&did, &seq)
-                    })?;
-                }
-            }
-            Ok(())
-        })
-    }
-}
-
-impl RecordStream<u64, InputSeq> for CorpusSplitStream {
-    fn for_each(&mut self, f: &mut dyn FnMut(&u64, &InputSeq) -> Result<()>) -> Result<()> {
-        if self.pipelined && self.blocks.len() > 1 {
-            self.for_each_prefetch(f)
-        } else {
-            self.for_each_sync(f)
-        }
-    }
-
     fn input_stats(&self) -> InputStats {
         self.stats
     }
@@ -253,7 +168,6 @@ pub struct StoreInput {
     reader: Arc<CorpusReader>,
     tau: u64,
     split_at_tau: bool,
-    pipelined: bool,
 }
 
 impl StoreInput {
@@ -263,15 +177,7 @@ impl StoreInput {
             reader,
             tau,
             split_at_tau,
-            pipelined: false,
         }
-    }
-
-    /// Open every round's source with double-buffered block prefetch
-    /// ([`CorpusSplitSource::pipelined`]).
-    pub fn pipelined(mut self, on: bool) -> Self {
-        self.pipelined = on;
-        self
     }
 }
 
@@ -279,10 +185,11 @@ impl InputProvider for StoreInput {
     type Source = CorpusSplitSource;
 
     fn source(&self) -> Result<CorpusSplitSource> {
-        Ok(
-            CorpusSplitSource::new(Arc::clone(&self.reader), self.tau, self.split_at_tau)
-                .pipelined(self.pipelined),
-        )
+        Ok(CorpusSplitSource::new(
+            Arc::clone(&self.reader),
+            self.tau,
+            self.split_at_tau,
+        ))
     }
 }
 
@@ -333,30 +240,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    fn collect_all_pipelined(source: CorpusSplitSource, n: usize) -> Vec<(u64, InputSeq)> {
-        collect_all(source.pipelined(true), n)
-    }
-
-    #[test]
-    fn pipelined_stream_yields_exactly_the_sync_records() {
-        let (path, _) = temp_store("piped", 40, 99);
-        let reader = Arc::new(CorpusReader::open(&path).unwrap());
-        for split_at_tau in [false, true] {
-            for n in [1usize, 3] {
-                let sync = collect_all(
-                    CorpusSplitSource::new(Arc::clone(&reader), 2, split_at_tau),
-                    n,
-                );
-                let piped = collect_all_pipelined(
-                    CorpusSplitSource::new(Arc::clone(&reader), 2, split_at_tau),
-                    n,
-                );
-                assert_eq!(piped, sync, "split_at_tau={split_at_tau}, n={n}");
-            }
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn lpt_split_plan_balances_bytes_and_covers_every_block() {
         let (path, _) = temp_store("lpt", 60, 13);
@@ -399,68 +282,6 @@ mod tests {
         assert!(split_skew(&[300, 100]) > 1.4);
     }
 
-    /// The acceptance witness for the input stage: under pipelining, the
-    /// time the consumer is *stalled* on input must shrink versus the
-    /// synchronous path, where every read+decode blocks the consumer in
-    /// full. The sync cost is measured by draining the same split with a
-    /// no-op consumer; the pipelined leg adds per-record compute so the
-    /// prefetcher has something to hide behind.
-    #[test]
-    fn pipelined_input_stall_shrinks_versus_sync_read_time() {
-        // Sized so the sync read+decode cost is comfortably above the
-        // pipelined leg's fixed overheads (thread spawn + first-block
-        // fetch), which is what keeps the comparison below stable on
-        // loaded CI hosts.
-        let coll = generate(&CorpusProfile::tiny("stall", 2000), 7);
-        let path =
-            std::env::temp_dir().join(format!("core-store-input-stall-{}.ngs", std::process::id()));
-        let mut w = corpus::CorpusWriter::create(&path, &coll.name)
-            .unwrap()
-            .block_budget(512);
-        for d in &coll.docs {
-            w.push(d).unwrap();
-        }
-        w.finish(&coll.dictionary).unwrap();
-        let reader = Arc::new(CorpusReader::open(&path).unwrap());
-        assert!(reader.num_blocks() > 8, "needs many blocks to overlap");
-
-        // Warm the page cache so both legs read from memory, then
-        // measure the synchronous read+decode cost of the whole store —
-        // the time the sync path stalls its consumer.
-        let mut warmup = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .into_splits(1)
-            .unwrap();
-        warmup[0].for_each(&mut |_, _| Ok(())).unwrap();
-        let started = std::time::Instant::now();
-        let mut splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .into_splits(1)
-            .unwrap();
-        splits[0].for_each(&mut |_, _| Ok(())).unwrap();
-        let sync_nanos = started.elapsed().as_nanos() as u64;
-
-        // Pipelined with per-fragment compute: reads hide behind it.
-        let mut splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-            .pipelined(true)
-            .into_splits(1)
-            .unwrap();
-        splits[0]
-            .for_each(&mut |_, _| {
-                std::thread::sleep(std::time::Duration::from_micros(10));
-                Ok(())
-            })
-            .unwrap();
-        let stats = splits[0].input_stats();
-        assert!(stats.stall_nanos > 0, "the first block is always waited on");
-        assert!(
-            stats.stall_nanos < sync_nanos,
-            "pipelined stall ({}) must shrink below the sync read+decode \
-             time ({})",
-            stats.stall_nanos,
-            sync_nanos
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
     #[test]
     fn split_streams_report_block_io() {
         let (path, _) = temp_store("stats", 25, 5);
@@ -499,35 +320,27 @@ mod tests {
             meta.data_bytes < meta.raw_data_bytes,
             "store must actually compress for this test to witness anything"
         );
-        for pipelined in [false, true] {
-            let splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
-                .pipelined(pipelined)
-                .into_splits(2)
-                .unwrap();
-            let mut total = InputStats::default();
-            let mut max_raw_entry = 0u64;
-            for mut s in splits {
-                let cost = s.predicted_cost();
-                s.for_each(&mut |_, _| Ok(())).unwrap();
-                let st = s.input_stats();
-                assert_eq!(cost, st.bytes_read, "predicted cost is on-disk bytes");
-                total.bytes_read += st.bytes_read;
-                total.raw_bytes += st.raw_bytes;
-                total.peak_block_bytes = total.peak_block_bytes.max(st.peak_block_bytes);
-            }
-            for b in 0..reader.num_blocks() {
-                max_raw_entry = max_raw_entry.max(reader.block_entry(b).raw_bytes);
-            }
-            assert_eq!(total.bytes_read, meta.data_bytes, "pipelined={pipelined}");
-            assert_eq!(
-                total.raw_bytes, meta.raw_data_bytes,
-                "pipelined={pipelined}"
-            );
-            // Peak tracks the *decoded* block(s): at least one raw block,
-            // at most two (pipelined pair).
-            assert!(total.peak_block_bytes >= max_raw_entry);
-            assert!(total.peak_block_bytes <= 2 * max_raw_entry);
+        let splits = CorpusSplitSource::new(Arc::clone(&reader), 2, true)
+            .into_splits(2)
+            .unwrap();
+        let mut total = InputStats::default();
+        let mut max_raw_entry = 0u64;
+        for mut s in splits {
+            let cost = s.predicted_cost();
+            s.for_each(&mut |_, _| Ok(())).unwrap();
+            let st = s.input_stats();
+            assert_eq!(cost, st.bytes_read, "predicted cost is on-disk bytes");
+            total.bytes_read += st.bytes_read;
+            total.raw_bytes += st.raw_bytes;
+            total.peak_block_bytes = total.peak_block_bytes.max(st.peak_block_bytes);
         }
+        for b in 0..reader.num_blocks() {
+            max_raw_entry = max_raw_entry.max(reader.block_entry(b).raw_bytes);
+        }
+        assert_eq!(total.bytes_read, meta.data_bytes);
+        assert_eq!(total.raw_bytes, meta.raw_data_bytes);
+        // Peak tracks the *decoded* block, one resident at a time.
+        assert_eq!(total.peak_block_bytes, max_raw_entry);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -224,54 +224,6 @@ proptest! {
         let _ = std::fs::remove_file(&plain_path);
     }
 
-    #[test]
-    fn pipelined_store_runs_match_synchronous_for_all_methods(
-        seed in 0u64..10_000,
-        docs in 8usize..24,
-        tau in 2u64..4,
-        split_docs in any::<bool>(),
-        front in any::<bool>(),
-    ) {
-        // τ-split settings and run codecs must be orthogonal to the
-        // pipelined/synchronous choice for every method driven from a
-        // store.
-        let coll = generate(&CorpusProfile::tiny("store-piped", docs), seed);
-        let path = temp_store_path();
-        save_store(&coll, &path).unwrap();
-        let reader = Arc::new(CorpusReader::open(&path).unwrap());
-        let cluster = Cluster::new(2);
-        let mut params = NGramParams::new(tau, 4);
-        params.split_docs = split_docs;
-        params.job = JobConfig {
-            spill_to_disk: true,
-            sort_buffer_bytes: 512,
-            run_codec: if front {
-                mapreduce::RunCodec::FrontCoded
-            } else {
-                mapreduce::RunCodec::Plain
-            },
-            ..JobConfig::default()
-        };
-        for method in Method::ALL {
-            let sync = compute_from_store(&cluster, &reader, method, &params)
-                .unwrap_or_else(|e| panic!("{} sync failed: {e}", method.name()));
-            let mut piped_params = params.clone();
-            piped_params.job.pipelined = true;
-            piped_params.job.pipeline_min_cpus = 1; // force threads on any host
-            let piped = compute_from_store(&cluster, &reader, method, &piped_params)
-                .unwrap_or_else(|e| panic!("{} pipelined failed: {e}", method.name()));
-            prop_assert_eq!(
-                &piped.grams,
-                &sync.grams,
-                "{} pipelined store run diverged (seed={}, split_docs={}, front={})",
-                method.name(),
-                seed,
-                split_docs,
-                front
-            );
-        }
-        let _ = std::fs::remove_file(&path);
-    }
 }
 
 #[test]
@@ -368,88 +320,6 @@ fn compressed_store_compute_peak_is_one_decoded_block() {
     assert_eq!(
         result.counters.get(Counter::InputRawBytes),
         meta.raw_data_bytes
-    );
-    let _ = std::fs::remove_file(&path);
-}
-
-/// End-to-end stall-counter semantics at a fixed workload: synchronous
-/// runs feed none of the three stall counters; a pipelined run feeds all
-/// three (every stage waits at least once), stays record-identical, keeps
-/// its input residency bounded by the double buffer (two blocks), and —
-/// the overlap witness — its total measured stall stays below the
-/// synchronous run's wall clock, which is what the equivalent blocking
-/// work cost when it all ran inline (single slot, so the sync wall is the
-/// serialized sum of that work and the compute around it).
-#[test]
-fn pipelined_stall_counters_witness_overlap() {
-    let coll = generate(&CorpusProfile::tiny("stalls", 600), 29);
-    let path = temp_store_path();
-    const BUDGET: usize = 256;
-    let mut w = CorpusWriter::create(&path, &coll.name)
-        .unwrap()
-        .block_budget(BUDGET);
-    for d in &coll.docs {
-        w.push(d).unwrap();
-    }
-    w.finish(&coll.dictionary).unwrap();
-    let reader = Arc::new(CorpusReader::open(&path).unwrap());
-    assert!(
-        reader.num_blocks() > 8,
-        "every map split needs several blocks so the prefetcher engages"
-    );
-    let max_pair = {
-        let sizes: Vec<u64> = (0..reader.num_blocks())
-            .map(|i| reader.block_entry(i).bytes)
-            .collect();
-        let max_single = sizes.iter().copied().max().unwrap();
-        2 * max_single
-    };
-
-    let cluster = Cluster::new(1);
-    let mut params = NGramParams::new(3, 4);
-    params.job = JobConfig {
-        spill_to_disk: true,
-        sort_buffer_bytes: 4096, // force repeated spills
-        run_codec: mapreduce::RunCodec::FrontCoded,
-        ..JobConfig::default()
-    };
-
-    let sync = compute_from_store(&cluster, &reader, Method::SuffixSigma, &params).unwrap();
-    for c in [
-        Counter::MapInputStallNanos,
-        Counter::SpillStallNanos,
-        Counter::ReduceDecodeStallNanos,
-    ] {
-        assert_eq!(sync.counters.get(c), 0, "sync path must not feed {c:?}");
-    }
-
-    params.job.pipelined = true;
-    params.job.pipeline_min_cpus = 1; // force threads even on 1-CPU hosts
-    let piped = compute_from_store(&cluster, &reader, Method::SuffixSigma, &params).unwrap();
-    assert_eq!(piped.grams, sync.grams);
-    let input_stall = piped.counters.get(Counter::MapInputStallNanos);
-    let spill_stall = piped.counters.get(Counter::SpillStallNanos);
-    let decode_stall = piped.counters.get(Counter::ReduceDecodeStallNanos);
-    assert!(input_stall > 0, "first block is always waited on");
-    assert!(spill_stall > 0, "final spill drain is always waited on");
-    assert!(decode_stall > 0, "first decoded batch is always waited on");
-    let sync_wall = sync.elapsed.as_nanos() as u64;
-    for (name, stall) in [
-        ("MAP_INPUT_STALL_NANOS", input_stall),
-        ("SPILL_STALL_NANOS", spill_stall),
-        ("REDUCE_DECODE_STALL_NANOS", decode_stall),
-    ] {
-        assert!(
-            stall < sync_wall,
-            "{name} ({stall}) must shrink below the synchronous wall \
-             ({sync_wall}), which subsumes the same blocking work inline"
-        );
-    }
-    // The double buffer's residency bound: at most two blocks.
-    let peak = piped.counters.get(Counter::InputPeakBlockBytes);
-    assert!(
-        peak <= max_pair,
-        "pipelined peak ({peak}) must stay within two blocks ({max_pair})"
     );
     let _ = std::fs::remove_file(&path);
 }

@@ -8,12 +8,11 @@
 
 use crate::comparator::RawComparator;
 use crate::counters::{Counter, Counters};
-use crate::error::{MrError, Result};
+use crate::error::Result;
 use crate::io::Writable;
 use crate::run::{Run, RunCodec, RunWriter, TempDir};
 use crate::task::{BoxedCombiner, RecordSink, ReduceContext, Reducer};
 use crate::values::ValueIter;
-use std::sync::mpsc::SyncSender;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -113,7 +112,7 @@ pub type CombinerFactory<K, V> = Arc<dyn Fn() -> BoxedCombiner<K, V> + Send + Sy
 
 /// Shuffle-relevant knobs of one map task's collector, extracted from the
 /// job configuration.
-#[derive(Clone, Debug)]
+#[derive(Debug)]
 pub(crate) struct CollectorConfig {
     pub sort_buffer_bytes: usize,
     pub spill_to_disk: bool,
@@ -122,34 +121,16 @@ pub(crate) struct CollectorConfig {
     /// Cache `sort_prefix` digests and compare them inline before falling
     /// back to the raw comparator.
     pub prefix_sort: bool,
-    /// Hand full sort buffers to a dedicated spill-writer thread so the
-    /// sort + encode + write runs off the mapper thread, double-buffering
-    /// the arena (mapping continues into a fresh buffer during the spill).
-    pub pipelined: bool,
     /// Injected-fault schedule (spill EIO, read-side frame corruption),
     /// propagated into every run this collector seals.
     pub fault: Option<Arc<crate::fault::FaultPlan>>,
 }
 
-/// One dispatched spill: the non-empty arenas of a full sort buffer,
-/// tagged with their partitions.
-type SpillBatch = Vec<(usize, RecordArena)>;
-
-/// What the spill-writer thread leaves behind: per-partition runs plus
-/// the first error it hit (if any).
-type SpillOutcome = (Vec<Vec<Run>>, Option<MrError>);
-
-/// The dedicated spill-writer half of a pipelined collector.
-struct SpillPipeline {
-    tx: Option<SyncSender<SpillBatch>>,
-    handle: Option<std::thread::JoinHandle<SpillOutcome>>,
-}
-
 /// Per-map-task output collector.
 pub(crate) struct MapOutputCollector<K, V>
 where
-    K: Writable + Send + 'static,
-    V: Writable + Send + 'static,
+    K: Writable + Send,
+    V: Writable + Send,
 {
     arenas: Vec<RecordArena>,
     runs: Vec<Vec<Run>>,
@@ -158,14 +139,12 @@ where
     cmp: Arc<dyn RawComparator>,
     combiner_f: Option<CombinerFactory<K, V>>,
     counters: Arc<Counters>,
-    /// Spill-writer thread, spawned lazily at the first pipelined spill.
-    pipeline: Option<SpillPipeline>,
 }
 
 impl<K, V> MapOutputCollector<K, V>
 where
-    K: Writable + Send + 'static,
-    V: Writable + Send + 'static,
+    K: Writable + Send,
+    V: Writable + Send,
 {
     pub(crate) fn new(
         num_partitions: usize,
@@ -185,7 +164,6 @@ where
             cmp,
             combiner_f,
             counters,
-            pipeline: None,
         }
     }
 
@@ -196,11 +174,7 @@ where
         self.counters
             .add(Counter::MapOutputBytes, (klen + vlen) as u64);
         if self.buffered_bytes() > self.config.sort_buffer_bytes {
-            if self.config.pipelined {
-                self.dispatch_spill()?;
-            } else {
-                self.spill()?;
-            }
+            self.spill()?;
         }
         Ok(())
     }
@@ -209,16 +183,14 @@ where
         self.arenas.iter().map(RecordArena::bytes).sum()
     }
 
-    /// Sort, combine and write out every non-empty arena as one run each
-    /// (the synchronous path: everything on the mapper thread).
+    /// Sort, combine and write out every non-empty arena as one run each.
     fn spill(&mut self) -> Result<()> {
         self.counters.inc(Counter::Spills);
-        for p in 0..self.arenas.len() {
-            if self.arenas[p].is_empty() {
+        for (arena, runs) in self.arenas.iter_mut().zip(&mut self.runs) {
+            if arena.is_empty() {
                 continue;
             }
-            let arena = std::mem::take(&mut self.arenas[p]);
-            let (run, mut arena) = spill_arena(
+            let run = spill_arena(
                 arena,
                 &self.config,
                 self.temp.as_deref(),
@@ -227,179 +199,32 @@ where
                 &self.counters,
             )?;
             if !run.is_empty() {
-                self.runs[p].push(run);
-            }
-            arena.clear();
-            self.arenas[p] = arena; // keep the allocation for reuse
-        }
-        Ok(())
-    }
-
-    /// Hand the full sort buffer to the spill-writer thread (spawned at
-    /// the first mid-map spill) and continue mapping into fresh arenas.
-    fn dispatch_spill(&mut self) -> Result<()> {
-        let mut pipe = match self.pipeline.take() {
-            Some(p) => p,
-            None => self.spawn_spill_writer(),
-        };
-        let res = self.dispatch_to(&mut pipe, false);
-        self.pipeline = Some(pipe);
-        res
-    }
-
-    /// Offer every non-empty arena to the spill writer — without ever
-    /// blocking on it: if the writer is still busy with the previous
-    /// buffer (`try_send` on the rendezvous channel fails), the mapper
-    /// spills this buffer *inline* instead of waiting. On a parallel host
-    /// that is work-sharing (both threads encode concurrently); on a
-    /// single core it degrades gracefully to the synchronous path instead
-    /// of paying context switches to wait. `final_barrier` (task end, no
-    /// mapping left to overlap) sends blocking, and that wait is the
-    /// pipeline stall recorded in [`Counter::SpillStallNanos`].
-    fn dispatch_to(&mut self, pipe: &mut SpillPipeline, final_barrier: bool) -> Result<()> {
-        let batch: SpillBatch = self
-            .arenas
-            .iter_mut()
-            .enumerate()
-            .filter(|(_, a)| !a.is_empty())
-            .map(|(p, a)| (p, std::mem::take(a)))
-            .collect();
-        if batch.is_empty() {
-            return Ok(());
-        }
-        self.counters.inc(Counter::Spills);
-        let tx = pipe
-            .tx
-            .as_ref()
-            .expect("pipeline sender lives until finish");
-        if final_barrier {
-            let waited = Instant::now();
-            let sent = tx.send(batch);
-            self.counters
-                .add(Counter::SpillStallNanos, waited.elapsed().as_nanos() as u64);
-            return sent.map_err(|_| MrError::TaskPanic("spill-writer thread died".into()));
-        }
-        match tx.try_send(batch) {
-            Ok(()) => Ok(()),
-            Err(std::sync::mpsc::TrySendError::Full(batch)) => self.spill_batch_inline(batch),
-            Err(std::sync::mpsc::TrySendError::Disconnected(_)) => {
-                Err(MrError::TaskPanic("spill-writer thread died".into()))
-            }
-        }
-    }
-
-    /// Spill a dispatched batch on the mapper thread (the `try_send`
-    /// fallback when the writer is busy).
-    fn spill_batch_inline(&mut self, batch: SpillBatch) -> Result<()> {
-        for (p, arena) in batch {
-            let (run, _) = spill_arena(
-                arena,
-                &self.config,
-                self.temp.as_deref(),
-                self.cmp.as_ref(),
-                self.combiner_f.as_deref(),
-                &self.counters,
-            )?;
-            if !run.is_empty() {
-                self.runs[p].push(run);
+                runs.push(run);
             }
         }
         Ok(())
-    }
-
-    fn spawn_spill_writer(&self) -> SpillPipeline {
-        // Rendezvous channel: at most one full sort buffer is in flight
-        // (being written) while the mapper fills the next one — the
-        // promised double buffer, bounding collector memory at two sort
-        // buffers.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<SpillBatch>(0);
-        let num_partitions = self.arenas.len();
-        let config = self.config.clone();
-        let temp = self.temp.clone();
-        let cmp = Arc::clone(&self.cmp);
-        let combiner_f = self.combiner_f.clone();
-        let counters = Arc::clone(&self.counters);
-        let handle = std::thread::spawn(move || {
-            let mut runs: Vec<Vec<Run>> = (0..num_partitions).map(|_| Vec::new()).collect();
-            let mut error: Option<MrError> = None;
-            for batch in rx {
-                if error.is_some() {
-                    continue; // drain without blocking the mapper
-                }
-                for (p, arena) in batch {
-                    match spill_arena(
-                        arena,
-                        &config,
-                        temp.as_deref(),
-                        cmp.as_ref(),
-                        combiner_f.as_deref(),
-                        &counters,
-                    ) {
-                        Ok((run, _)) => {
-                            if !run.is_empty() {
-                                runs[p].push(run);
-                            }
-                        }
-                        Err(e) => {
-                            error = Some(e);
-                            break;
-                        }
-                    }
-                }
-            }
-            (runs, error)
-        });
-        SpillPipeline {
-            tx: Some(tx),
-            handle: Some(handle),
-        }
     }
 
     /// Final spill; returns the per-partition runs of this map task.
     pub(crate) fn finish(mut self) -> Result<Vec<Vec<Run>>> {
-        // A pipelined task whose buffer never filled mid-map has nothing
-        // left to overlap the final spill with — run it inline rather
-        // than paying for a thread that would only be waited on.
-        if let Some(mut pipe) = self.pipeline.take() {
-            self.dispatch_to(&mut pipe, true)?;
-            drop(pipe.tx.take());
-            // Waiting for the writer to drain the tail is a stall too:
-            // there is no mapping left to overlap it with.
-            let waited = Instant::now();
-            let joined = pipe.handle.take().expect("handle set at spawn").join();
-            self.counters
-                .add(Counter::SpillStallNanos, waited.elapsed().as_nanos() as u64);
-            let (worker_runs, error) =
-                joined.map_err(|_| MrError::TaskPanic("spill-writer thread panicked".into()))?;
-            if let Some(e) = error {
-                return Err(e);
-            }
-            // Inline-fallback spills landed in `self.runs`; merge in what
-            // the writer thread produced.
-            for (p, rs) in worker_runs.into_iter().enumerate() {
-                self.runs[p].extend(rs);
-            }
-            return Ok(std::mem::take(&mut self.runs));
-        }
         if self.arenas.iter().any(|a| !a.is_empty()) {
             self.spill()?;
         }
-        Ok(std::mem::take(&mut self.runs))
+        Ok(self.runs)
     }
 }
 
 /// Sort one arena, run the combiner over its groups (when configured),
-/// and write it out as a sealed run — the per-partition spill work,
-/// shared verbatim by the synchronous path and the spill-writer thread.
-/// Returns the run plus the arena for buffer reuse.
+/// and write it out as a sealed run. The arena is left empty, keeping its
+/// allocation for reuse.
 fn spill_arena<K, V>(
-    mut arena: RecordArena,
+    arena: &mut RecordArena,
     config: &CollectorConfig,
     temp: Option<&TempDir>,
     cmp: &dyn RawComparator,
     combiner_f: Option<&(dyn Fn() -> BoxedCombiner<K, V> + Send + Sync)>,
     counters: &Counters,
-) -> Result<(Run, RecordArena)>
+) -> Result<Run>
 where
     K: Writable + Send,
     V: Writable + Send,
@@ -424,7 +249,7 @@ where
     match combiner_f {
         Some(f) => {
             let mut combiner = f();
-            combine_into(&arena, cmp, combiner.as_mut(), &mut writer, counters)?;
+            combine_into(arena, cmp, combiner.as_mut(), &mut writer, counters)?;
         }
         None => {
             for m in &arena.meta {
@@ -437,7 +262,8 @@ where
     counters.add(Counter::ShuffleBytes, run.bytes);
     counters.add(Counter::RawRunBytes, run.raw_bytes);
     counters.add(Counter::EncodedRunBytes, run.bytes);
-    Ok((run, arena))
+    arena.clear();
+    Ok(run)
 }
 
 /// Sink that serializes combiner output straight into a run writer.

@@ -32,15 +32,8 @@ pub enum Counter {
     InputBlocksRead,
     /// Largest single input block resident in a map task at once — the
     /// input side's peak-allocation witness. Aggregates by *maximum*, not
-    /// sum, in [`CounterSnapshot::merge`]. Under pipelined execution a
-    /// prefetcher may hold the next block while the current one is being
-    /// consumed, so the witness covers both (≤ two blocks).
+    /// sum, in [`CounterSnapshot::merge`].
     InputPeakBlockBytes,
-    /// Nanoseconds map tasks spent *blocked* waiting on the input
-    /// prefetcher (`JobConfig::pipelined`). Zero on the synchronous path,
-    /// where input I/O runs inline and no wait is measured; under
-    /// pipelining this is the input latency the overlap failed to hide.
-    MapInputStallNanos,
     /// Key-value pairs emitted by mappers (pre-combine, Hadoop semantics).
     MapOutputRecords,
     /// Serialized key+value bytes emitted by mappers (pre-combine).
@@ -51,13 +44,6 @@ pub enum Counter {
     CombineOutputRecords,
     /// Number of spill events across all map tasks.
     Spills,
-    /// Nanoseconds map tasks spent *blocked* on the spill-writer thread
-    /// (`JobConfig::pipelined`) — in practice the final wait for the
-    /// writer to drain at task end, since mid-map hand-offs never block
-    /// (a busy writer makes the mapper spill that buffer inline instead).
-    /// Zero on the synchronous path, where the whole sort + encode +
-    /// write runs inline on the mapper thread.
-    SpillStallNanos,
     /// Bytes actually shipped to reducers (post-combine, post-codec run
     /// bytes).
     ShuffleBytes,
@@ -75,11 +61,6 @@ pub enum Counter {
     /// Nanoseconds spent sorting map-side record arenas (the in-memory
     /// sort the raw comparator and its `sort_prefix` digest accelerate).
     MapSortNanos,
-    /// Nanoseconds reduce tasks spent *blocked* waiting on run read-ahead
-    /// decoders (`JobConfig::pipelined`): merge heads whose next decoded
-    /// batch was not ready yet. Zero on the synchronous path, where run
-    /// fetch + codec decode run inline between reduce calls.
-    ReduceDecodeStallNanos,
     /// Nanoseconds reduce tasks spent inside the k-way merge pulling the
     /// next record (heap maintenance + run fetch + codec decode). Only
     /// measured when `JobConfig::trace` is on — the timing calls would
@@ -118,7 +99,7 @@ pub enum Counter {
     SpeculativeWins,
 }
 
-const NUM_COUNTERS: usize = 28;
+const NUM_COUNTERS: usize = 25;
 
 const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "MAP_INPUT_RECORDS",
@@ -126,18 +107,15 @@ const COUNTER_NAMES: [&str; NUM_COUNTERS] = [
     "INPUT_RAW_BYTES",
     "INPUT_BLOCKS_READ",
     "INPUT_PEAK_BLOCK_BYTES",
-    "MAP_INPUT_STALL_NANOS",
     "MAP_OUTPUT_RECORDS",
     "MAP_OUTPUT_BYTES",
     "COMBINE_INPUT_RECORDS",
     "COMBINE_OUTPUT_RECORDS",
     "SPILLS",
-    "SPILL_STALL_NANOS",
     "SHUFFLE_BYTES",
     "RAW_RUN_BYTES",
     "ENCODED_RUN_BYTES",
     "MAP_SORT_NANOS",
-    "REDUCE_DECODE_STALL_NANOS",
     "REDUCE_MERGE_NANOS",
     "REDUCE_INPUT_GROUPS",
     "REDUCE_INPUT_RECORDS",

@@ -70,27 +70,6 @@ pub struct JobConfig {
     /// raw comparator. On by default; disable only to measure the
     /// unaccelerated baseline.
     pub prefix_sort: bool,
-    /// Overlap I/O with compute across the dataflow: map tasks hand full
-    /// sort buffers to a dedicated spill-writer thread (double-buffering
-    /// the arena), reduce-side merges open runs through read-ahead
-    /// decoders, and prefetch-capable sources (the corpus block store)
-    /// fetch their next block in the background. Off by default — the
-    /// synchronous path is the ablation baseline. The residual waits are
-    /// witnessed by [`Counter::MapInputStallNanos`],
-    /// [`Counter::SpillStallNanos`] and [`Counter::ReduceDecodeStallNanos`]
-    /// (all zero when synchronous).
-    ///
-    /// The flag is *adaptive*: helper threads are only spawned when the
-    /// host can actually run them in parallel (see
-    /// [`JobConfig::pipeline_min_cpus`]); on a single-CPU host they could
-    /// only time-slice against the very work they are meant to overlap,
-    /// so the engine degrades to the synchronous path there.
-    pub pipelined: bool,
-    /// Minimum host parallelism ([`std::thread::available_parallelism`])
-    /// required before [`JobConfig::pipelined`] actually spawns helper
-    /// threads. Default 2. Set to 1 to force the threaded machinery
-    /// regardless of the host (tests, ablation runs).
-    pub pipeline_min_cpus: usize,
     /// Maximum attempts per task (Hadoop's `mapred.map.max.attempts`).
     /// Each map task and reduce partition runs in a panic-isolated
     /// attempt; a failed attempt discards its partial output and the task
@@ -125,10 +104,9 @@ pub struct JobConfig {
     /// disables speculation; values below 1.0 behave as 1.0.
     pub speculative_slack: f64,
     /// Minimum host parallelism required before speculation actually
-    /// launches backups (mirrors [`JobConfig::pipeline_min_cpus`]): on a
-    /// single-CPU host a backup could only time-slice against the very
-    /// straggler it races. Default 2; set to 1 to force speculation
-    /// regardless of the host (tests).
+    /// launches backups: on a single-CPU host a backup could only
+    /// time-slice against the very straggler it races. Default 2; set to
+    /// 1 to force speculation regardless of the host (tests).
     pub speculative_min_cpus: usize,
 }
 
@@ -144,8 +122,6 @@ impl Default for JobConfig {
             tmp_dir: None,
             run_codec: RunCodec::default(),
             prefix_sort: true,
-            pipelined: false,
-            pipeline_min_cpus: 2,
             max_task_attempts: 3,
             fault_plan: None,
             trace: false,
@@ -163,16 +139,6 @@ impl JobConfig {
             name: name.into(),
             ..Default::default()
         }
-    }
-
-    /// Whether this job will actually run pipelined: the flag is set AND
-    /// the host has at least [`JobConfig::pipeline_min_cpus`] CPUs to run
-    /// the helper threads on. Sources that prefetch (e.g. the corpus
-    /// block store) should consult this, not the raw flag.
-    pub fn effective_pipelined(&self) -> bool {
-        self.pipelined
-            && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-                >= self.pipeline_min_cpus.max(1)
     }
 
     /// Whether this job will actually speculate: a positive
@@ -951,7 +917,6 @@ where
                 spill_to_disk: self.config.spill_to_disk,
                 run_codec: self.config.run_codec,
                 prefix_sort: self.config.prefix_sort,
-                pipelined: self.config.effective_pipelined(),
                 fault: self.config.fault_plan.clone(),
             },
             temp,
@@ -989,7 +954,6 @@ where
         counters.add(Counter::InputRawBytes, input.raw_bytes);
         counters.add(Counter::InputBlocksRead, input.blocks_read);
         counters.max(Counter::InputPeakBlockBytes, input.peak_block_bytes);
-        counters.add(Counter::MapInputStallNanos, input.stall_nanos);
         mapped?;
         collector.finish()
     }
@@ -1004,11 +968,10 @@ where
     where
         F: RecordSinkFactory<R::KeyOut, R::ValueOut>,
     {
-        let mut stream = MergeStream::with_options(
+        let mut stream = MergeStream::with_prefix_sort(
             runs,
             Arc::clone(&self.comparator),
             self.config.prefix_sort,
-            self.config.effective_pipelined(),
         )?
         .timed(self.config.trace);
         let mut reducer = (self.reducer_f)();
@@ -1030,7 +993,6 @@ where
             };
             counters.add(Counter::ReduceInputRecords, consumed);
         }
-        counters.add(Counter::ReduceDecodeStallNanos, stream.stall_nanos());
         counters.add(Counter::ReduceMergeNanos, stream.merge_nanos());
         let mut ctx = ReduceContext::new(&mut sink, counters, Counter::ReduceOutputRecords);
         reducer.cleanup(&mut ctx);

@@ -53,26 +53,11 @@ impl MergeStream {
         cmp: Arc<dyn RawComparator>,
         prefix_sort: bool,
     ) -> Result<Self> {
-        Self::with_options(runs, cmp, prefix_sort, false)
-    }
-
-    /// [`MergeStream::with_prefix_sort`] plus read-ahead: with
-    /// `pipelined`, every run is opened through a prefetching
-    /// [`RunReader`] that fetches and codec-decodes its next batch on a
-    /// background thread while the merge consumes the current one —
-    /// hiding the (front-)decode cost behind reduce compute. The residual
-    /// wait is exposed via [`MergeStream::stall_nanos`].
-    pub fn with_options(
-        runs: &[Run],
-        cmp: Arc<dyn RawComparator>,
-        prefix_sort: bool,
-        pipelined: bool,
-    ) -> Result<Self> {
         let mut sources = Vec::with_capacity(runs.len());
         let mut heads = Vec::with_capacity(runs.len());
         let mut heap = Vec::with_capacity(runs.len());
         for run in runs {
-            let mut reader = run.reader_opts(pipelined)?;
+            let mut reader = run.reader()?;
             let mut head = Head {
                 key: Vec::new(),
                 val: Vec::new(),
@@ -197,12 +182,6 @@ impl MergeStream {
     pub fn compare(&self, a: &[u8], b: &[u8]) -> Ordering {
         self.cmp.compare(a, b)
     }
-
-    /// Total nanoseconds the merge spent blocked waiting on read-ahead
-    /// decoders, summed over all runs; zero when opened synchronously.
-    pub fn stall_nanos(&self) -> u64 {
-        self.sources.iter().map(RunReader::stall_nanos).sum()
-    }
 }
 
 #[cfg(test)]
@@ -253,26 +232,6 @@ mod tests {
         let runs = vec![make_run(&[]), make_run(&["only"])];
         let mut s = MergeStream::new(&runs, Arc::new(BytewiseComparator)).unwrap();
         assert_eq!(drain(&mut s), vec!["only"]);
-    }
-
-    #[test]
-    fn pipelined_merge_is_record_identical_to_sync() {
-        let mut runs = Vec::new();
-        for r in 0..8u32 {
-            let keys: Vec<String> = (0..500u32).map(|i| format!("k{:06}", i * 8 + r)).collect();
-            let refs: Vec<&str> = keys.iter().map(String::as_str).collect();
-            runs.push(make_run(&refs));
-        }
-        let mut sync = MergeStream::new(&runs, Arc::new(BytewiseComparator)).unwrap();
-        let mut piped =
-            MergeStream::with_options(&runs, Arc::new(BytewiseComparator), true, true).unwrap();
-        let expected = drain(&mut sync);
-        assert_eq!(drain(&mut piped), expected);
-        assert_eq!(sync.stall_nanos(), 0, "sync merge measures no stalls");
-        assert!(
-            piped.stall_nanos() > 0,
-            "first batches are always waited on"
-        );
     }
 
     #[test]

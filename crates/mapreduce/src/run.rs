@@ -47,9 +47,7 @@ use std::fs::File;
 use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
-use std::time::Instant;
 
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
@@ -57,13 +55,6 @@ static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 /// size it is encoded and flushed. Small enough to keep encoder scratch
 /// cache-resident, large enough that per-block overhead vanishes.
 pub const RUN_BLOCK_BYTES: usize = 32 * 1024;
-
-/// Decoded-payload budget of one read-ahead batch (pipelined readers):
-/// the background decoder fills a batch to roughly this size before
-/// handing it over, so the consumer amortizes one channel hand-off (two
-/// context switches on a loaded host) over many records while read-ahead
-/// memory stays bounded at two batches per run.
-const PREFETCH_BATCH_BYTES: usize = 256 * 1024;
 
 /// A per-job temporary directory, removed on drop.
 pub struct TempDir {
@@ -617,43 +608,12 @@ impl Run {
         })
     }
 
-    /// Open a sequential reader over the run (synchronous decode).
+    /// Open a sequential reader over the run.
     pub fn reader(&self) -> Result<RunReader> {
-        self.reader_opts(false)
-    }
-
-    /// Open a sequential reader; with `pipelined`, a background thread
-    /// fetches and codec-decodes the *next* batch of records while the
-    /// caller consumes the current one (double buffering), hiding disk
-    /// and decode latency behind the consumer's compute. The time the
-    /// consumer actually spends waiting on the decoder is exposed through
-    /// [`RunReader::stall_nanos`].
-    pub fn reader_opts(&self, pipelined: bool) -> Result<RunReader> {
-        let input = self.open_input()?;
-        let codec = self.codec.block_codec();
-        if !pipelined {
-            return Ok(RunReader {
-                mode: ReaderMode::Sync {
-                    input,
-                    codec,
-                    state: DecodeState::default(),
-                },
-            });
-        }
-        // Rendezvous channel: the decoder holds at most one finished
-        // batch (blocked in `send`) while the consumer holds another —
-        // read-ahead memory is bounded at two batches per run.
-        let (tx, rx) = std::sync::mpsc::sync_channel::<Result<DecodedBatch>>(0);
-        let handle = std::thread::spawn(move || prefetch_decode(input, codec, tx));
         Ok(RunReader {
-            mode: ReaderMode::Prefetch {
-                rx: Some(rx),
-                handle: Some(handle),
-                batch: DecodedBatch::default(),
-                next_rec: 0,
-                done: false,
-                stall_nanos: 0,
-            },
+            input: self.open_input()?,
+            codec: self.codec.block_codec(),
+            state: DecodeState::default(),
         })
     }
 
@@ -699,60 +659,6 @@ impl Run {
         };
         std::fs::rename(&tmp, path)?;
         Ok(written)
-    }
-}
-
-/// One read-ahead batch: decoded key/value payloads in a flat buffer plus
-/// an offset table. Record `i`'s key starts where record `i-1`'s value
-/// ended.
-#[derive(Default)]
-struct DecodedBatch {
-    data: Vec<u8>,
-    /// `(key_end, val_end)` offsets into `data`, one pair per record.
-    recs: Vec<(usize, usize)>,
-}
-
-/// Background half of a pipelined [`RunReader`]: decode records through
-/// the codec into batches and hand them over until EOF, error, or the
-/// consumer goes away (a failed `send`).
-fn prefetch_decode(
-    mut input: RunInput,
-    codec: &'static dyn BlockCodec,
-    tx: SyncSender<Result<DecodedBatch>>,
-) {
-    let mut state = DecodeState::default();
-    let (mut key, mut val) = (Vec::new(), Vec::new());
-    loop {
-        let mut batch = DecodedBatch::default();
-        loop {
-            key.clear();
-            val.clear();
-            match codec.decode_record(&mut input, &mut state, &mut key, &mut val) {
-                Ok(true) => {
-                    batch.data.extend_from_slice(&key);
-                    let key_end = batch.data.len();
-                    batch.data.extend_from_slice(&val);
-                    batch.recs.push((key_end, batch.data.len()));
-                    if batch.data.len() >= PREFETCH_BATCH_BYTES {
-                        break;
-                    }
-                }
-                Ok(false) => {
-                    if !batch.recs.is_empty() {
-                        let _ = tx.send(Ok(batch));
-                    }
-                    // Dropping the sender is the clean-EOF signal.
-                    return;
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(e));
-                    return;
-                }
-            }
-        }
-        if tx.send(Ok(batch)).is_err() {
-            return; // consumer dropped the reader early
-        }
     }
 }
 
@@ -1215,28 +1121,12 @@ impl RunInput {
     }
 }
 
-/// Sequential reader over one run, decoding through the run's codec —
-/// inline, or (pipelined) consuming batches a background thread decoded
-/// ahead of it.
+/// Sequential reader over one run, decoding through the run's codec.
 pub struct RunReader {
-    mode: ReaderMode,
-}
-
-enum ReaderMode {
-    Sync {
-        input: RunInput,
-        codec: &'static dyn BlockCodec,
-        /// Last decoded record — the front-coding delta base.
-        state: DecodeState,
-    },
-    Prefetch {
-        rx: Option<Receiver<Result<DecodedBatch>>>,
-        handle: Option<std::thread::JoinHandle<()>>,
-        batch: DecodedBatch,
-        next_rec: usize,
-        done: bool,
-        stall_nanos: u64,
-    },
+    input: RunInput,
+    codec: &'static dyn BlockCodec,
+    /// Last decoded record — the front-coding delta base.
+    state: DecodeState,
 }
 
 impl RunReader {
@@ -1245,74 +1135,8 @@ impl RunReader {
     pub fn next_into(&mut self, key: &mut Vec<u8>, val: &mut Vec<u8>) -> Result<bool> {
         key.clear();
         val.clear();
-        match &mut self.mode {
-            ReaderMode::Sync {
-                input,
-                codec,
-                state,
-            } => codec.decode_record(input, state, key, val),
-            ReaderMode::Prefetch {
-                rx,
-                batch,
-                next_rec,
-                done,
-                stall_nanos,
-                ..
-            } => loop {
-                if *next_rec < batch.recs.len() {
-                    let key_start = if *next_rec == 0 {
-                        0
-                    } else {
-                        batch.recs[*next_rec - 1].1
-                    };
-                    let (key_end, val_end) = batch.recs[*next_rec];
-                    key.extend_from_slice(&batch.data[key_start..key_end]);
-                    val.extend_from_slice(&batch.data[key_end..val_end]);
-                    *next_rec += 1;
-                    return Ok(true);
-                }
-                if *done {
-                    return Ok(false);
-                }
-                let waited = Instant::now();
-                let received = rx.as_ref().expect("receiver lives until drop").recv();
-                *stall_nanos += waited.elapsed().as_nanos() as u64;
-                match received {
-                    Ok(Ok(next)) => {
-                        *batch = next;
-                        *next_rec = 0;
-                    }
-                    Ok(Err(e)) => {
-                        *done = true;
-                        return Err(e);
-                    }
-                    // Sender dropped: the decoder hit clean end-of-run.
-                    Err(_) => *done = true,
-                }
-            },
-        }
-    }
-
-    /// Nanoseconds the consumer spent blocked waiting on the read-ahead
-    /// decoder; zero for synchronous readers.
-    pub fn stall_nanos(&self) -> u64 {
-        match &self.mode {
-            ReaderMode::Sync { .. } => 0,
-            ReaderMode::Prefetch { stall_nanos, .. } => *stall_nanos,
-        }
-    }
-}
-
-impl Drop for RunReader {
-    fn drop(&mut self) {
-        if let ReaderMode::Prefetch { rx, handle, .. } = &mut self.mode {
-            // Unblock the decoder (its `send` fails once the receiver is
-            // gone), then reap it so no thread outlives its run.
-            drop(rx.take());
-            if let Some(h) = handle.take() {
-                let _ = h.join();
-            }
-        }
+        self.codec
+            .decode_record(&mut self.input, &mut self.state, key, val)
     }
 }
 
@@ -1527,19 +1351,17 @@ mod tests {
         assert!(rd.next_into(&mut k, &mut v).is_err());
     }
 
-    fn read_all_opts(run: &Run, pipelined: bool) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut rd = run.reader_opts(pipelined).unwrap();
-        let (mut k, mut v) = (Vec::new(), Vec::new());
-        let mut out = Vec::new();
-        while rd.next_into(&mut k, &mut v).unwrap() {
-            out.push((k.clone(), v.clone()));
-        }
-        out
-    }
-
     #[test]
-    fn prefetch_reader_matches_sync_across_codecs_and_backends() {
+    fn reader_round_trips_many_blocks_across_codecs_and_backends() {
         let dir = TempDir::create(None).unwrap();
+        let recs: Vec<(Vec<u8>, Vec<u8>)> = (0..20_000u32)
+            .map(|i| {
+                (
+                    format!("shared/key/prefix/{:06}", i).into_bytes(),
+                    (u64::from(i) * 3).to_le_bytes().to_vec(),
+                )
+            })
+            .collect();
         for codec in [
             RunCodec::Plain,
             RunCodec::FrontCoded,
@@ -1551,51 +1373,18 @@ mod tests {
                 } else {
                     RunWriter::mem_codec(codec)
                 };
-                // Enough records to span several prefetch batches.
-                for i in 0..20_000u32 {
-                    let key = format!("shared/key/prefix/{:06}", i).into_bytes();
-                    let val = (u64::from(i) * 3).to_le_bytes();
-                    w.write_record(&key, &val).unwrap();
+                for (k, v) in &recs {
+                    w.write_record(k, v).unwrap();
                 }
                 let run = w.finish().unwrap();
                 assert_eq!(
-                    read_all_opts(&run, true),
-                    read_all_opts(&run, false),
+                    read_all(&run),
+                    recs,
                     "codec {:?}, file_backed {file_backed}",
                     codec
                 );
             }
         }
-    }
-
-    #[test]
-    fn prefetch_reader_survives_early_drop() {
-        let mut w = RunWriter::mem_codec(RunCodec::FrontCoded);
-        for i in 0..50_000u32 {
-            w.write_record(format!("key-{i:08}").as_bytes(), b"v")
-                .unwrap();
-        }
-        let run = w.finish().unwrap();
-        let mut rd = run.reader_opts(true).unwrap();
-        let (mut k, mut v) = (Vec::new(), Vec::new());
-        assert!(rd.next_into(&mut k, &mut v).unwrap());
-        assert!(rd.stall_nanos() > 0, "the first batch is always waited on");
-        drop(rd); // must reap the decoder thread, not hang or leak
-    }
-
-    #[test]
-    fn prefetch_reader_propagates_decode_errors() {
-        // Same corrupt front-coded payload as the sync error test: the
-        // error must cross the read-ahead channel intact.
-        let mut bytes = Vec::new();
-        write_vu64(&mut bytes, (5 << 5) | (1 << 1)); // lcp=5 with no prev key
-        bytes.push(b'x');
-        write_vu64(&mut bytes, 0);
-        let run = mem_run(framed(&bytes), RunCodec::FrontCoded);
-        let mut rd = run.reader_opts(true).unwrap();
-        let (mut k, mut v) = (Vec::new(), Vec::new());
-        assert!(rd.next_into(&mut k, &mut v).is_err());
-        assert!(!rd.next_into(&mut k, &mut v).unwrap_or(true));
     }
 
     #[test]

@@ -24,9 +24,8 @@ use crate::io::Writable;
 use crate::run::{Run, RunCodec, RunWriter, TempDir};
 use crate::task::{RecordSink, VecSink};
 use parking_lot::Mutex;
-use std::io::{Read, Write};
+use std::io::Write;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
 
 /// Creates one sink per reduce task and seals finished sinks into
@@ -308,151 +307,12 @@ impl Drop for Spool {
     }
 }
 
-/// A full buffer or a flush barrier, handed to the dedicated writer
-/// thread of a pipelined [`WriterSinkFactory`].
-enum WriterMsg {
-    Buf(Vec<u8>),
-    Flush(SyncSender<()>),
-}
-
-enum WriterBackend {
-    /// Formatted bytes are written under a lock on the reduce thread —
-    /// the synchronous path.
-    Direct(Mutex<Box<dyn Write + Send>>),
-    /// Full buffers are handed to a dedicated writer thread through a
-    /// bounded channel (double buffering: one buffer being written, one
-    /// in flight), so reduce compute overlaps downstream output I/O.
-    Threaded {
-        tx: Mutex<Option<SyncSender<WriterMsg>>>,
-        handle: Mutex<Option<std::thread::JoinHandle<()>>>,
-        /// First write/flush error, surfaced at the next drain or flush.
-        error: Arc<Mutex<Option<MrError>>>,
-    },
-}
-
-fn writer_thread(
-    mut w: Box<dyn Write + Send>,
-    rx: Receiver<WriterMsg>,
-    error: Arc<Mutex<Option<MrError>>>,
-) {
-    let mut failed = false;
-    for msg in rx {
-        match msg {
-            WriterMsg::Buf(buf) => {
-                if failed {
-                    continue; // drain without blocking the producers
-                }
-                if let Err(e) = w.write_all(&buf) {
-                    *error.lock() = Some(e.into());
-                    failed = true;
-                }
-            }
-            WriterMsg::Flush(ack) => {
-                if !failed {
-                    if let Err(e) = w.flush() {
-                        *error.lock() = Some(e.into());
-                        failed = true;
-                    }
-                }
-                let _ = ack.send(());
-            }
-        }
-    }
-}
-
 struct SharedWriter {
-    backend: WriterBackend,
-    records: AtomicU64,
     /// Held for the whole of one sink's seal-time publish, so the spool's
     /// arbitrary-boundary chunks of different partitions never interleave
     /// mid-record in the shared output.
-    seal_lock: Mutex<()>,
-}
-
-impl SharedWriter {
-    fn direct(writer: Box<dyn Write + Send>) -> Self {
-        SharedWriter {
-            backend: WriterBackend::Direct(Mutex::new(writer)),
-            records: AtomicU64::new(0),
-            seal_lock: Mutex::new(()),
-        }
-    }
-
-    fn threaded(writer: Box<dyn Write + Send>) -> Self {
-        let (tx, rx) = std::sync::mpsc::sync_channel::<WriterMsg>(1);
-        let error: Arc<Mutex<Option<MrError>>> = Arc::new(Mutex::new(None));
-        let thread_error = Arc::clone(&error);
-        let handle = std::thread::spawn(move || writer_thread(writer, rx, thread_error));
-        SharedWriter {
-            backend: WriterBackend::Threaded {
-                tx: Mutex::new(Some(tx)),
-                handle: Mutex::new(Some(handle)),
-                error,
-            },
-            records: AtomicU64::new(0),
-            seal_lock: Mutex::new(()),
-        }
-    }
-
-    fn drain(&self, buf: &mut Vec<u8>) -> Result<()> {
-        if buf.is_empty() {
-            return Ok(());
-        }
-        match &self.backend {
-            WriterBackend::Direct(writer) => {
-                writer.lock().write_all(buf)?;
-                buf.clear();
-                Ok(())
-            }
-            WriterBackend::Threaded { tx, error, .. } => {
-                if let Some(e) = error.lock().take() {
-                    return Err(e);
-                }
-                // Hand the full buffer over but keep the sink's capacity:
-                // a bare `take` would leave a zero-capacity Vec that
-                // regrows through doubling on every subsequent chunk.
-                let full = std::mem::replace(buf, Vec::with_capacity(WRITER_SINK_FLUSH_BYTES));
-                tx.lock()
-                    .as_ref()
-                    .expect("writer thread lives until drop")
-                    .send(WriterMsg::Buf(full))
-                    .map_err(|_| MrError::TaskPanic("output writer thread died".into()))
-            }
-        }
-    }
-
-    fn flush(&self) -> Result<()> {
-        match &self.backend {
-            WriterBackend::Direct(writer) => {
-                writer.lock().flush()?;
-                Ok(())
-            }
-            WriterBackend::Threaded { tx, error, .. } => {
-                let (ack_tx, ack_rx) = std::sync::mpsc::sync_channel::<()>(0);
-                tx.lock()
-                    .as_ref()
-                    .expect("writer thread lives until drop")
-                    .send(WriterMsg::Flush(ack_tx))
-                    .map_err(|_| MrError::TaskPanic("output writer thread died".into()))?;
-                let _ = ack_rx.recv();
-                if let Some(e) = error.lock().take() {
-                    return Err(e);
-                }
-                Ok(())
-            }
-        }
-    }
-}
-
-impl Drop for SharedWriter {
-    fn drop(&mut self) {
-        if let WriterBackend::Threaded { tx, handle, .. } = &self.backend {
-            drop(tx.lock().take());
-            if let Some(h) = handle.lock().take() {
-                let _ = h.join();
-            }
-        }
-    }
+    writer: Mutex<Box<dyn Write + Send>>,
+    records: AtomicU64,
 }
 
 /// Factory streaming formatted records to one shared writer. Each sink
@@ -476,23 +336,13 @@ where
     F: Fn(&mut Vec<u8>, &K, &V) + Send + Sync,
 {
     /// Stream records through `format` into `writer`, writing on the
-    /// reduce threads (synchronous output).
+    /// reduce threads.
     pub fn new(writer: Box<dyn Write + Send>, format: F) -> Self {
         WriterSinkFactory {
-            shared: Arc::new(SharedWriter::direct(writer)),
-            format: Arc::new(format),
-            _marker: std::marker::PhantomData,
-        }
-    }
-
-    /// Stream records through `format` into `writer` via a dedicated
-    /// writer thread: sinks hand full buffers over a bounded channel
-    /// (double buffering), so reduce compute overlaps output I/O. Write
-    /// errors surface at the next drain, at [`WriterSinkFactory::flush`],
-    /// or at seal time.
-    pub fn pipelined(writer: Box<dyn Write + Send>, format: F) -> Self {
-        WriterSinkFactory {
-            shared: Arc::new(SharedWriter::threaded(writer)),
+            shared: Arc::new(SharedWriter {
+                writer: Mutex::new(writer),
+                records: AtomicU64::new(0),
+            }),
             format: Arc::new(format),
             _marker: std::marker::PhantomData,
         }
@@ -504,10 +354,9 @@ where
     }
 
     /// Flush the underlying writer (call after the last job completes).
-    /// On the pipelined backend this is a barrier: it returns once the
-    /// writer thread has drained and flushed everything handed to it.
     pub fn flush(&self) -> Result<()> {
-        self.shared.flush()
+        self.shared.writer.lock().flush()?;
+        Ok(())
     }
 }
 
@@ -589,22 +438,15 @@ where
         // Publish spool + tail as one unit: the lock keeps this task's
         // bytes contiguous in the shared output even when other tasks
         // seal concurrently.
-        let _publish = sink.shared.seal_lock.lock();
+        let mut writer = sink.shared.writer.lock();
         if let Some(mut spool) = sink.spool.take() {
             spool.file.flush()?;
             let mut rd = std::fs::File::open(&spool.path)?;
-            let mut chunk = vec![0u8; WRITER_SINK_FLUSH_BYTES];
-            loop {
-                let n = rd.read(&mut chunk)?;
-                if n == 0 {
-                    break;
-                }
-                let mut out = chunk[..n].to_vec();
-                sink.shared.drain(&mut out)?;
-            }
+            std::io::copy(&mut rd, &mut *writer)?;
             // `spool` drops here, removing its file.
         }
-        sink.shared.drain(&mut sink.buf)?;
+        writer.write_all(&sink.buf)?;
+        drop(writer);
         sink.shared
             .records
             .fetch_add(sink.records, Ordering::Relaxed);
@@ -734,7 +576,7 @@ mod tests {
     }
 
     #[test]
-    fn pipelined_writer_sink_matches_direct_output() {
+    fn writer_sink_publishes_its_spool_in_push_order() {
         struct Shared(Arc<Mutex<Vec<u8>>>);
         impl Write for Shared {
             fn write(&mut self, data: &[u8]) -> std::io::Result<usize> {
@@ -745,33 +587,30 @@ mod tests {
                 Ok(())
             }
         }
-        let format = |out: &mut Vec<u8>, k: &u32, v: &u64| {
-            out.extend_from_slice(format!("{v}\t{k}\n").as_bytes());
-        };
-        let mut outputs: Vec<Vec<String>> = Vec::new();
-        for pipelined in [false, true] {
-            let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
-            let writer: Box<dyn Write + Send> = Box::new(Shared(Arc::clone(&buf)));
-            let factory = if pipelined {
-                WriterSinkFactory::pipelined(writer, format)
-            } else {
-                WriterSinkFactory::new(writer, format)
-            };
-            let mut sink = factory.make(0).unwrap();
-            // Enough bytes to force several 64 KiB hand-offs.
-            for i in 0..20_000u32 {
-                sink.push(i, u64::from(i) * 7);
-            }
-            assert_eq!(factory.seal(0, sink).unwrap(), 20_000);
-            factory.flush().unwrap();
-            assert_eq!(factory.records(), 20_000);
-            let text = String::from_utf8(buf.lock().clone()).unwrap();
-            let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
-            lines.sort_unstable();
-            outputs.push(lines);
+        let buf: Arc<Mutex<Vec<u8>>> = Arc::new(Mutex::new(Vec::new()));
+        let factory = WriterSinkFactory::new(
+            Box::new(Shared(Arc::clone(&buf))),
+            |out: &mut Vec<u8>, k: &u32, v: &u64| {
+                out.extend_from_slice(format!("{v}\t{k}\n").as_bytes());
+            },
+        );
+        let mut sink = factory.make(0).unwrap();
+        // Enough bytes to overflow the 64 KiB buffer into the spool
+        // several times before the seal publishes it.
+        let mut expected = String::new();
+        for i in 0..20_000u32 {
+            sink.push(i, u64::from(i) * 7);
+            expected.push_str(&format!("{}\t{i}\n", u64::from(i) * 7));
         }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0].len(), 20_000);
+        assert!(sink.spool.is_some(), "the task must have spooled");
+        assert!(
+            buf.lock().is_empty(),
+            "nothing is published before the seal"
+        );
+        assert_eq!(factory.seal(0, sink).unwrap(), 20_000);
+        factory.flush().unwrap();
+        assert_eq!(factory.records(), 20_000);
+        assert_eq!(String::from_utf8(buf.lock().clone()).unwrap(), expected);
     }
 
     #[test]

@@ -41,14 +41,8 @@ pub struct InputStats {
     pub raw_bytes: u64,
     /// Number of blocks (or runs) fetched.
     pub blocks_read: u64,
-    /// Largest single block held in memory at once (under a pipelined
-    /// prefetcher: the largest *pair* of consecutive blocks — the consumed
-    /// block plus the one being prefetched).
+    /// Largest single block held in memory at once.
     pub peak_block_bytes: u64,
-    /// Nanoseconds the consuming map task spent blocked waiting on a
-    /// background prefetcher. Zero for synchronous streams, which fetch
-    /// inline and measure no wait.
-    pub stall_nanos: u64,
 }
 
 /// A stream of key/value records feeding one map task.
@@ -280,7 +274,6 @@ where
             // largest single run, not zero. (File-backed runs are only
             // buffer-resident, making this an upper bound there.)
             peak_block_bytes: self.runs.iter().map(|r| r.bytes).max().unwrap_or(0),
-            stall_nanos: 0,
         }
     }
 

@@ -21,12 +21,10 @@ pub trait Mapper: Send {
     type InKey: Send + Sync;
     /// Input value type.
     type InValue: Send + Sync;
-    /// Intermediate key type; serialized into the shuffle. (`'static`
-    /// because pipelined collectors may hand serialized buffers typed by
-    /// `K`/`V` to a spill-writer thread.)
-    type OutKey: Writable + Send + 'static;
+    /// Intermediate key type; serialized into the shuffle.
+    type OutKey: Writable + Send;
     /// Intermediate value type; serialized into the shuffle.
-    type OutValue: Writable + Send + 'static;
+    type OutValue: Writable + Send;
 
     /// Process one input record.
     fn map(

@@ -47,7 +47,7 @@ pub struct TaskSpan {
     /// though it ran cleanly — its output was discarded.
     pub speculative: bool,
     /// The attempt's private counter bank: exactly the work this attempt
-    /// did, including spill/stall/merge time, isolated from every other
+    /// did, including sort and merge time, isolated from every other
     /// attempt.
     pub counters: CounterSnapshot,
 }

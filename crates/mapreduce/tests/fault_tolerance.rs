@@ -131,21 +131,14 @@ fn corrupted_run_frame_is_retried_to_identical_output() {
 
 #[test]
 fn all_faults_at_once_still_converge() {
-    for pipelined in [false, true] {
-        let mut config = base_config();
-        config.spill_to_disk = true;
-        config.pipelined = pipelined;
-        config.pipeline_min_cpus = 1;
-        config.fault_plan = Some(Arc::new(
-            FaultPlan::parse("map-panic=0@0,spill-eio=4,corrupt-frame=2").unwrap(),
-        ));
-        let (records, counters) = run_sorted(config).expect("job absorbs the whole fault plan");
-        assert_eq!(records, fault_free(), "pipelined={pipelined}");
-        assert!(
-            counters.get(Counter::TaskRetries) >= 2,
-            "pipelined={pipelined}"
-        );
-    }
+    let mut config = base_config();
+    config.spill_to_disk = true;
+    config.fault_plan = Some(Arc::new(
+        FaultPlan::parse("map-panic=0@0,spill-eio=4,corrupt-frame=2").unwrap(),
+    ));
+    let (records, counters) = run_sorted(config).expect("job absorbs the whole fault plan");
+    assert_eq!(records, fault_free());
+    assert!(counters.get(Counter::TaskRetries) >= 2);
 }
 
 #[test]

@@ -167,53 +167,6 @@ fn chained_jobs_agree_across_memory_and_disk_boundaries() {
     assert_eq!(totals[0], totals[1]);
 }
 
-/// Pipelined execution (spill-writer thread + reduce read-ahead) is
-/// record-identical to the synchronous engine across spill backends and
-/// codecs, and the stall counters behave: zero when synchronous,
-/// measured (and bounded by the phase walls) when pipelined.
-#[test]
-fn pipelined_jobs_match_synchronous_across_codecs() {
-    let input = corpus(25, 300, 60);
-    let expected = expected_counts(&input);
-    let cluster = Cluster::new(2);
-
-    for codec in [RunCodec::Plain, RunCodec::FrontCoded] {
-        for spill in [false, true] {
-            let mut results = Vec::new();
-            for pipelined in [false, true] {
-                let mut cfg = JobConfig::named("pipelined-eq");
-                cfg.spill_to_disk = spill;
-                cfg.sort_buffer_bytes = 2048; // several spills per task
-                cfg.run_codec = codec;
-                cfg.pipelined = pipelined;
-                cfg.pipeline_min_cpus = 1; // force threads even on 1-CPU hosts
-                let job = Job::<CountMapper, SumReducer>::new(cfg, || CountMapper, || SumReducer);
-                let sinks = VecSinkFactory::default();
-                let out = job
-                    .run_streamed(&cluster, SliceSource::new(&input), &sinks)
-                    .unwrap();
-                let mut got: Vec<(u32, u64)> = out.artifacts.into_iter().flatten().collect();
-                got.sort();
-                assert_eq!(got, expected, "codec {codec:?}, spill {spill}");
-                let c = &out.stats.counters;
-                if pipelined {
-                    assert!(
-                        c.get(Counter::SpillStallNanos) > 0,
-                        "pipelined spills always wait at least for the final drain"
-                    );
-                    assert!(c.get(Counter::ReduceDecodeStallNanos) > 0);
-                } else {
-                    assert_eq!(c.get(Counter::MapInputStallNanos), 0);
-                    assert_eq!(c.get(Counter::SpillStallNanos), 0);
-                    assert_eq!(c.get(Counter::ReduceDecodeStallNanos), 0);
-                }
-                results.push(got);
-            }
-            assert_eq!(results[0], results[1]);
-        }
-    }
-}
-
 /// A borrowed slice source feeds the same input to several jobs with no
 /// clone; results match the owned VecSource path exactly.
 #[test]

@@ -255,7 +255,8 @@ fn read_request_head(stream: &mut TcpStream, buf: &mut Vec<u8>, timeout: Duratio
     let mut chunk = [0u8; 1024];
     loop {
         // None of our requests carry a body, so the headers are the
-        // request (a pipelined head may already be buffered).
+        // request (a client that sends ahead may have buffered the next
+        // head already).
         if let Some(end) = find_header_end(buf) {
             return HeadRead::Complete(end);
         }

@@ -6,7 +6,7 @@
 //! ngram-mr stats     --input corpus.bin
 //! ngram-mr compute   --input corpus.bin --method suffix-sigma --tau 5 --sigma 5
 //!                    [--mode cf|df] [--output all|closed|maximal] [--slots N]
-//!                    [--spill-to-disk] [--tmp-dir DIR] [--pipelined]
+//!                    [--spill-to-disk] [--tmp-dir DIR]
 //!                    [--run-codec plain|front|posting-delta]
 //!                    [--max-task-attempts N] [--faults SPEC]
 //!                    [--checkpoint-dir DIR] [--resume] [--speculate F]
@@ -40,9 +40,6 @@
 //! in memory and lines appear in reduce-task completion order rather than
 //! sorted. `--spill-to-disk` additionally sends shuffle spills and
 //! chained-job runs to `--tmp-dir`, bounding memory by the sort buffers.
-//! `--pipelined` overlaps I/O with compute end to end: store-block input
-//! prefetch, a dedicated spill-writer thread per map task, reduce-side
-//! run read-ahead, and a double-buffered output writer.
 //!
 //! `--checkpoint-dir DIR` makes `compute` and `index` crash-safe: every
 //! completed map task durably publishes its spill runs plus a CRC-guarded
@@ -84,7 +81,7 @@ fn usage() -> ! {
          ngram-mr stats      --input FILE\n  \
          ngram-mr compute    --input FILE --method naive|apriori-scan|apriori-index|suffix-sigma\n                      \
          --tau N --sigma N [--mode cf|df] [--output all|closed|maximal]\n                      \
-         [--slots N] [--spill-to-disk] [--tmp-dir DIR] [--pipelined]\n                      \
+         [--slots N] [--spill-to-disk] [--tmp-dir DIR]\n                      \
          [--run-codec plain|front|posting-delta]\n                      \
          [--max-task-attempts N] [--faults map-panic=T[@A],reduce-panic=T[@A],die=T[@A],die-reduce=T[@A],spill-eio=N,ckpt-eio=N,corrupt-frame=N]\n                      \
          [--checkpoint-dir DIR] [--resume] [--speculate F]\n                      \
@@ -381,14 +378,16 @@ fn parse_params(args: &Args) -> NGramParams {
         },
         job: mapreduce::JobConfig {
             spill_to_disk: args.has("spill-to-disk"),
-            pipelined: args.has("pipelined"),
             tmp_dir: args.get("tmp-dir").map(PathBuf::from),
             // --profile needs the span trace to fold into the report.
             trace: args.has("profile"),
             run_codec: match args.get("run-codec") {
                 None => mapreduce::RunCodec::default(),
                 Some(name) => mapreduce::RunCodec::parse(name).unwrap_or_else(|| {
-                    log_error!("cli", "unknown run codec {name} (expected plain or front)");
+                    log_error!(
+                        "cli",
+                        "unknown run codec {name} (expected plain, front, or posting-delta)"
+                    );
                     usage()
                 }),
             },
@@ -472,9 +471,7 @@ fn cmd_compute(args: &Args) -> ExitCode {
         CorpusInput::Legacy(coll) => coll.dictionary.clone(),
     });
     // Stream results as the reducers produce them instead of collecting
-    // them first; lines land in reduce completion order, unsorted. With
-    // --pipelined, a dedicated writer thread double-buffers the output so
-    // reduce compute overlaps the write I/O.
+    // them first; lines land in reduce completion order, unsorted.
     let format = move |buf: &mut Vec<u8>, gram: &Gram, count: &u64| {
         if let Some(dictionary) = &dictionary {
             buf.extend_from_slice(
@@ -485,11 +482,7 @@ fn cmd_compute(args: &Args) -> ExitCode {
             buf.extend_from_slice(format!("{}\t{}\n", count, ids.join(" ")).as_bytes());
         }
     };
-    let sinks = if params.job.effective_pipelined() {
-        mapreduce::WriterSinkFactory::pipelined(out_writer(args), format)
-    } else {
-        mapreduce::WriterSinkFactory::new(out_writer(args), format)
-    };
+    let sinks = mapreduce::WriterSinkFactory::new(out_writer(args), format);
     let stats = match computation.run_to_sink(&cluster, &sinks) {
         Ok((_, stats)) => stats,
         Err(e) => {

@@ -137,6 +137,39 @@ fn unknown_method_fails_with_usage() {
 }
 
 #[test]
+fn unknown_run_codec_error_names_every_codec() {
+    let corpus_path = temp_path("codec-corpus.bin");
+    let status = bin()
+        .args([
+            "generate",
+            "--profile",
+            "tiny",
+            "--scale",
+            "0.2",
+            "--seed",
+            "3",
+        ])
+        .arg("--out")
+        .arg(&corpus_path)
+        .status()
+        .expect("run generate");
+    assert!(status.success());
+    let output = bin()
+        .args(["compute", "--method", "naive", "--run-codec", "bogus"])
+        .arg("--input")
+        .arg(&corpus_path)
+        .output()
+        .expect("run compute");
+    assert!(!output.status.success());
+    let err = String::from_utf8_lossy(&output.stderr);
+    assert!(
+        err.contains("expected plain, front, or posting-delta"),
+        "stderr: {err}"
+    );
+    let _ = std::fs::remove_file(&corpus_path);
+}
+
+#[test]
 fn missing_subcommand_fails() {
     let output = bin().output().expect("run bare");
     assert!(!output.status.success());

@@ -7,6 +7,7 @@ use corpus::{Collection, Dictionary, Document};
 use mapreduce::{Cluster, JobConfig};
 use ngrams::{prepare_input, reference_cf, Computation, CountMode, Gram, Method, NGramParams};
 use proptest::prelude::*;
+use std::collections::BTreeMap;
 
 /// All runs go through the [`Computation`] builder — the one front door.
 fn compute(
@@ -99,6 +100,105 @@ proptest! {
             split_docs: false, ..NGramParams::new(tau, sigma)
         }).unwrap();
         prop_assert_eq!(with.grams, without.grams);
+    }
+}
+
+/// Every method's output on `coll`, in [`Method::ALL`] order.
+fn all_methods(coll: &Collection, params: &NGramParams) -> Vec<Vec<(Gram, u64)>> {
+    let cluster = Cluster::new(2);
+    Method::ALL
+        .iter()
+        .map(|&method| {
+            compute(&cluster, coll, method, params)
+                .unwrap_or_else(|e| panic!("{} failed: {e}", method.name()))
+                .grams
+        })
+        .collect()
+}
+
+/// The same documents as `coll` (ids, years and dictionary included),
+/// listed in reverse order.
+fn reversed_order(coll: &Collection) -> Collection {
+    Collection {
+        name: coll.name.clone(),
+        docs: coll.docs.iter().rev().cloned().collect(),
+        dictionary: coll.dictionary.clone(),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Metamorphic: the order of documents in a collection is not part of
+    /// the query, so reversing it changes no method's output, in either
+    /// count mode.
+    #[test]
+    fn reversing_document_order_changes_no_output(
+        docs in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec(0u32..6, 0..10),
+                1..4),
+            1..7),
+        tau in 1u64..4,
+        sigma in 1usize..5,
+        df in any::<bool>(),
+    ) {
+        let coll = collection(docs);
+        let params = NGramParams {
+            mode: if df { CountMode::Df } else { CountMode::Cf },
+            apriori_k: 2,
+            ..NGramParams::new(tau, sigma)
+        };
+        let forward = all_methods(&coll, &params);
+        let backward = all_methods(&reversed_order(&coll), &params);
+        for (method, (f, b)) in Method::ALL.iter().zip(forward.iter().zip(&backward)) {
+            prop_assert_eq!(f, &forward[0], "{} disagrees with NAIVE", method.name());
+            prop_assert_eq!(b, f, "{} changed under document reversal", method.name());
+        }
+    }
+
+    /// Metamorphic: at τ = 1 nothing is filtered, so the cf of every gram
+    /// in a corpus is the sum of its cfs in any two halves of it (both
+    /// halves share the corpus's dictionary).
+    #[test]
+    fn cf_at_tau_one_is_additive_over_corpus_halves(
+        docs in prop::collection::vec(
+            prop::collection::vec(
+                prop::collection::vec(0u32..6, 0..10),
+                1..4),
+            2..8),
+        cut in 0usize..64,
+        sigma in 1usize..5,
+    ) {
+        let whole = collection(docs);
+        let mid = 1 + cut % (whole.docs.len() - 1);
+        let half = |range: std::ops::Range<usize>| Collection {
+            name: whole.name.clone(),
+            docs: whole.docs[range].to_vec(),
+            dictionary: whole.dictionary.clone(),
+        };
+        let (first, second) = (half(0..mid), half(mid..whole.docs.len()));
+        let params = NGramParams {
+            apriori_k: 2,
+            ..NGramParams::new(1, sigma)
+        };
+        let whole_out = all_methods(&whole, &params);
+        let first_out = all_methods(&first, &params);
+        let second_out = all_methods(&second, &params);
+        for (i, method) in Method::ALL.iter().enumerate() {
+            let mut summed: BTreeMap<Gram, u64> = BTreeMap::new();
+            for (gram, cf) in first_out[i].iter().chain(&second_out[i]) {
+                *summed.entry(gram.clone()).or_default() += cf;
+            }
+            let summed: Vec<(Gram, u64)> = summed.into_iter().collect();
+            prop_assert_eq!(
+                &whole_out[i],
+                &summed,
+                "{} is not additive over halves split at {}",
+                method.name(),
+                mid
+            );
+        }
     }
 }
 
