@@ -6,7 +6,7 @@
 //! task ever held more than one block of the corpus.
 
 use corpus::{generate, save_store, CorpusProfile, CorpusReader, CorpusWriter, StoreCodec};
-use mapreduce::{Cluster, Counter, InputStats, JobConfig, RecordSource, RecordStream};
+use mapreduce::{Cluster, Counter, InputStats, JobConfig, MrError, RecordSource, RecordStream};
 use ngrams::{prepare_input, Computation, CorpusSplitSource, InputSeq, Method, NGramParams};
 use proptest::prelude::*;
 use std::path::PathBuf;
@@ -334,5 +334,40 @@ fn input_stats_default_is_zero_for_memory_sources() {
         .unwrap();
     for s in splits {
         assert_eq!(s.input_stats(), InputStats::default());
+    }
+}
+
+/// A corrupt store block reaches the job as the typed
+/// `ChecksumMismatch` naming that block, not as an opaque I/O error, once
+/// the map task's attempts are spent.
+#[test]
+fn corrupt_store_block_fails_the_job_with_a_typed_checksum_error() {
+    let coll = generate(&CorpusProfile::tiny("corrupt-block", 200), 29);
+    let path = temp_store_path();
+    write_store_codec(&coll, &path, StoreCodec::Plain, 512);
+    let reader = CorpusReader::open(&path).unwrap();
+    assert!(reader.num_blocks() > 3, "corpus must span several blocks");
+    let bad_block = 2;
+    let entry = reader.block_entry(bad_block);
+    drop(reader);
+    let mut bytes = std::fs::read(&path).unwrap();
+    bytes[(entry.offset + entry.bytes / 2) as usize] ^= 0x04;
+    std::fs::write(&path, &bytes).unwrap();
+
+    let reader = Arc::new(CorpusReader::open(&path).unwrap());
+    let err = compute_from_store(
+        &Cluster::new(2),
+        &reader,
+        Method::Naive,
+        &NGramParams::new(2, 3),
+    )
+    .expect_err("a corrupt block must fail the job");
+    let _ = std::fs::remove_file(&path);
+    match err {
+        MrError::TaskFailed { cause, .. } => match *cause {
+            MrError::ChecksumMismatch { block, .. } => assert_eq!(block, bad_block as u64),
+            other => panic!("expected ChecksumMismatch as the cause, got {other:?}"),
+        },
+        other => panic!("expected TaskFailed, got {other:?}"),
     }
 }

@@ -5,10 +5,11 @@
 //! generated corpora between runs.
 
 use crate::dictionary::Dictionary;
-use crate::document::{Collection, Document};
-use crate::wire::{read_str, read_u64, write_str};
-use mapreduce::write_vu64;
-use std::io::{self, Read, Write};
+use crate::document::Collection;
+use crate::wire::{read_doc, read_str, write_doc, write_str};
+use mapreduce::blockfile::StagedFile;
+use mapreduce::{read_vu64_at, write_vu64};
+use std::io::{self, Write};
 use std::path::Path;
 
 const MAGIC: &[u8; 8] = b"NGRAMMR1";
@@ -23,14 +24,12 @@ fn drain(buf: &mut Vec<u8>, out: &mut impl Write) -> io::Result<()> {
     Ok(())
 }
 
-/// Serialize `coll` to `path`, streaming through a `BufWriter` — the
-/// serialized corpus never exists in memory as one buffer; peak scratch
-/// is one document past [`SAVE_CHUNK_BYTES`].
+/// Serialize `coll` to `path`, streaming through a [`StagedFile`] — the
+/// serialized corpus never exists in memory as one buffer (peak scratch
+/// is one document past [`SAVE_CHUNK_BYTES`]), and appears at `path`
+/// only once complete.
 pub fn save(coll: &Collection, path: &Path) -> io::Result<()> {
-    if let Some(dir) = path.parent() {
-        std::fs::create_dir_all(dir)?;
-    }
-    let mut f = io::BufWriter::new(std::fs::File::create(path)?);
+    let mut f = StagedFile::create(path)?;
     let mut buf = Vec::new();
     buf.extend_from_slice(MAGIC);
     write_str(&mut buf, &coll.name);
@@ -46,27 +45,18 @@ pub fn save(coll: &Collection, path: &Path) -> io::Result<()> {
     // Documents.
     write_vu64(&mut buf, coll.docs.len() as u64);
     for d in &coll.docs {
-        write_vu64(&mut buf, d.id);
-        write_vu64(&mut buf, u64::from(d.year));
-        write_vu64(&mut buf, d.sentences.len() as u64);
-        for s in &d.sentences {
-            write_vu64(&mut buf, s.len() as u64);
-            for &t in s {
-                write_vu64(&mut buf, u64::from(t));
-            }
-        }
+        write_doc(&mut buf, d);
         if buf.len() >= SAVE_CHUNK_BYTES {
             drain(&mut buf, &mut f)?;
         }
     }
     drain(&mut buf, &mut f)?;
-    f.flush()
+    f.commit().map(drop)
 }
 
 /// Load a collection previously written by [`save`].
 pub fn load(path: &Path) -> io::Result<Collection> {
-    let mut buf = Vec::new();
-    std::fs::File::open(path)?.read_to_end(&mut buf)?;
+    let buf = std::fs::read(path)?;
     if buf.len() < 8 || &buf[..8] != MAGIC {
         return Err(io::Error::new(
             io::ErrorKind::InvalidData,
@@ -75,36 +65,20 @@ pub fn load(path: &Path) -> io::Result<Collection> {
     }
     let mut pos = 8usize;
     let name = read_str(&buf, &mut pos)?;
-    let n_terms = read_u64(&buf, &mut pos)? as usize;
+    let n_terms = read_vu64_at(&buf, &mut pos)? as usize;
     let mut counts = Vec::with_capacity(n_terms);
     for _ in 0..n_terms {
         let term = read_str(&buf, &mut pos)?;
-        let cf = read_u64(&buf, &mut pos)?;
+        let cf = read_vu64_at(&buf, &mut pos)?;
         counts.push((term, cf));
     }
     // Rebuilding through from_counts re-derives the same ranking (cf desc,
     // term asc) the dictionary was written in.
     let dictionary = Dictionary::from_counts(counts);
-    let n_docs = read_u64(&buf, &mut pos)? as usize;
-    let mut docs = Vec::with_capacity(n_docs);
+    let n_docs = read_vu64_at(&buf, &mut pos)? as usize;
+    let mut docs = Vec::with_capacity(n_docs.min(buf.len()));
     for _ in 0..n_docs {
-        let id = read_u64(&buf, &mut pos)?;
-        let year = read_u64(&buf, &mut pos)? as u16;
-        let n_sent = read_u64(&buf, &mut pos)? as usize;
-        let mut sentences = Vec::with_capacity(n_sent);
-        for _ in 0..n_sent {
-            let len = read_u64(&buf, &mut pos)? as usize;
-            let mut s = Vec::with_capacity(len);
-            for _ in 0..len {
-                s.push(read_u64(&buf, &mut pos)? as u32);
-            }
-            sentences.push(s);
-        }
-        docs.push(Document {
-            id,
-            year,
-            sentences,
-        });
+        docs.push(read_doc(&buf, &mut pos)?);
     }
     Ok(Collection {
         name,
@@ -147,15 +121,7 @@ pub fn save_sharded(coll: &Collection, dir: &Path, num_shards: usize) -> io::Res
         .collect::<io::Result<_>>()?;
     let mut buf = Vec::new();
     for d in &coll.docs {
-        write_vu64(&mut buf, d.id);
-        write_vu64(&mut buf, u64::from(d.year));
-        write_vu64(&mut buf, d.sentences.len() as u64);
-        for s in &d.sentences {
-            write_vu64(&mut buf, s.len() as u64);
-            for &t in s {
-                write_vu64(&mut buf, u64::from(t));
-            }
-        }
+        write_doc(&mut buf, d);
         drain(&mut buf, &mut shards[(d.id % num_shards as u64) as usize])?;
     }
     for mut shard in shards {
@@ -204,23 +170,7 @@ pub fn load_sharded(dir: &Path) -> io::Result<Collection> {
         let buf = std::fs::read(dir.join(format!("docs-{i:03}.bin")))?;
         let mut pos = 0usize;
         while pos < buf.len() {
-            let id = read_u64(&buf, &mut pos)?;
-            let year = read_u64(&buf, &mut pos)? as u16;
-            let n_sent = read_u64(&buf, &mut pos)? as usize;
-            let mut sentences = Vec::with_capacity(n_sent);
-            for _ in 0..n_sent {
-                let len = read_u64(&buf, &mut pos)? as usize;
-                let mut s = Vec::with_capacity(len);
-                for _ in 0..len {
-                    s.push(read_u64(&buf, &mut pos)? as u32);
-                }
-                sentences.push(s);
-            }
-            docs.push(Document {
-                id,
-                year,
-                sentences,
-            });
+            docs.push(read_doc(&buf, &mut pos)?);
         }
     }
     docs.sort_by_key(|d| d.id);

@@ -37,23 +37,22 @@
 //! from the footer's unigram counts on both sides, so it costs nothing to
 //! store.
 //!
-//! **Integrity and atomicity** (format `NGRAMMR3`): every block payload
-//! is covered by a CRC32 in the footer, verified before decode, and the
-//! footer itself carries a trailing CRC32 verified at open — a flipped
-//! bit anywhere in data or metadata is a typed error, never a silent
-//! mis-decode. The writer stages the whole file at `<path>.tmp` and
-//! renames it into place at [`CorpusWriter::finish`], so a crashed or
-//! failed writer never leaves a half-written store under the final name.
+//! **Integrity and atomicity**: magic, blocks, footer CRC and trailer are
+//! the [`mapreduce::blockfile`] envelope shared with serving segments.
+//! Block CRCs are verified before decode and the footer CRC at open, so a
+//! flipped bit anywhere is a typed error, never a silent mis-decode; the
+//! store appears under its final name only at [`CorpusWriter::finish`].
 
 use crate::dictionary::Dictionary;
 use crate::document::{Collection, Document};
 use crate::stats::CollectionStats;
 use crate::store_codec;
-use crate::wire::{read_str, read_u64, write_str};
-use mapreduce::{crc32, read_vu32_seq, write_vu64};
+use crate::wire::{read_doc, read_str, write_str};
+use mapreduce::blockfile::{BlockFile, BlockFileWriter};
+use mapreduce::{read_vu32_seq, read_vu64_at, write_vu64};
 use std::fs::File;
-use std::io::{self, BufWriter, Read, Write};
-use std::path::{Path, PathBuf};
+use std::io::{self, Read};
+use std::path::Path;
 use std::sync::Arc;
 
 /// Magic bytes opening and closing a store file (`NGRAMMR1` is the legacy
@@ -65,9 +64,6 @@ pub const STORE_MAGIC: &[u8; 8] = b"NGRAMMR3";
 /// document boundary past this size, so one oversized document can push a
 /// block past the budget but never splits across blocks.
 pub const STORE_BLOCK_BYTES: usize = 256 * 1024;
-
-/// Fixed trailer size: `[footer-offset: u64 LE][magic]`.
-const TRAILER_BYTES: u64 = 16;
 
 fn bad(msg: &str) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidData, format!("corpus store: {msg}"))
@@ -207,12 +203,12 @@ fn rank_transform(plain: &[u8], rank_of: &[u32]) -> io::Result<Vec<u8>> {
     let pos = &mut 0usize;
     let mut terms: Vec<u32> = Vec::new();
     while *pos < plain.len() {
-        write_vu64(&mut out, read_u64(plain, pos)?); // did
-        write_vu64(&mut out, read_u64(plain, pos)?); // year
-        let n_sent = read_u64(plain, pos)?;
+        write_vu64(&mut out, read_vu64_at(plain, pos)?); // did
+        write_vu64(&mut out, read_vu64_at(plain, pos)?); // year
+        let n_sent = read_vu64_at(plain, pos)?;
         write_vu64(&mut out, n_sent);
         for _ in 0..n_sent {
-            let len = read_u64(plain, pos)? as usize;
+            let len = read_vu64_at(plain, pos)? as usize;
             write_vu64(&mut out, len as u64);
             terms.clear();
             read_vu32_seq(plain, pos, len, &mut terms).map_err(|_| bad("bad term sequence"))?;
@@ -302,25 +298,19 @@ impl StoreMeta {
 // Writer
 // ---------------------------------------------------------------------------
 
-/// Streaming store writer: documents go straight through a [`BufWriter`]
-/// to disk, one block at a time — at no point does the serialized corpus
-/// (or the collection itself) have to exist in memory. The writer keeps
-/// only the current block, the block index, and the per-term occurrence
-/// counters that land in the footer.
+/// Streaming store writer: documents go straight through a staged
+/// [`BlockFileWriter`] to disk, one block at a time — at no point does
+/// the serialized corpus (or the collection itself) have to exist in
+/// memory. The writer keeps only the current block, the block index, and
+/// the per-term occurrence counters that land in the footer.
 pub struct CorpusWriter {
-    out: BufWriter<File>,
-    /// Staging path the bytes actually go to until `finish` renames it.
-    tmp_path: PathBuf,
-    /// Final path the sealed store atomically appears at.
-    final_path: PathBuf,
+    out: BlockFileWriter,
     name: String,
     block_budget: usize,
     /// Encoded documents of the block being staged.
     block: Vec<u8>,
     block_docs: u64,
     block_first_did: u64,
-    /// Absolute offset where the staged block will land.
-    offset: u64,
     index: Vec<BlockEntry>,
     num_docs: u64,
     num_sentences: u64,
@@ -347,26 +337,13 @@ impl CorpusWriter {
     /// are staged at `<path>.tmp`; the store appears at `path` only when
     /// [`CorpusWriter::finish`] renames the sealed file into place.
     pub fn create(path: &Path, name: &str) -> io::Result<Self> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        let mut tmp_path = path.to_path_buf().into_os_string();
-        tmp_path.push(".tmp");
-        let tmp_path = PathBuf::from(tmp_path);
-        let mut out = BufWriter::with_capacity(256 * 1024, File::create(&tmp_path)?);
-        out.write_all(STORE_MAGIC)?;
         Ok(CorpusWriter {
-            out,
-            tmp_path,
-            final_path: path.to_path_buf(),
+            out: BlockFileWriter::create(path, STORE_MAGIC)?,
             name: name.to_string(),
             block_budget: STORE_BLOCK_BYTES,
             block: Vec::new(),
             block_docs: 0,
             block_first_did: 0,
-            offset: STORE_MAGIC.len() as u64,
             index: Vec::new(),
             num_docs: 0,
             num_sentences: 0,
@@ -466,26 +443,24 @@ impl CorpusWriter {
         } else {
             &self.enc_buf
         };
-        self.out.write_all(payload)?;
-        let stored = payload.len() as u64;
+        let extent = self.out.append(payload)?;
         self.index.push(BlockEntry {
-            offset: self.offset,
-            bytes: stored,
+            offset: extent.offset,
+            bytes: extent.bytes,
             docs: self.block_docs,
             first_did: self.block_first_did,
             codec,
             raw_bytes: self.block.len() as u64,
-            crc: crc32(payload),
+            crc: extent.crc,
         });
-        self.offset += stored;
         self.block.clear();
         self.block_docs = 0;
         Ok(())
     }
 
-    /// Seal the store: flush the last block and write the footer and
-    /// trailer. The dictionary is supplied here because the term↔id
-    /// mapping is global state the document stream cannot carry.
+    /// Seal the store: flush the last block, write the footer, and
+    /// publish the file. The dictionary is supplied here because the
+    /// term↔id mapping is global state the document stream cannot carry.
     pub fn finish(mut self, dictionary: &Dictionary) -> io::Result<StoreMeta> {
         self.flush_block()?;
         if self.codec == StoreCodec::Rank {
@@ -501,7 +476,6 @@ impl CorpusWriter {
                 }
             }
         }
-        let footer_offset = self.offset;
         let mut footer = Vec::new();
         write_vu64(&mut footer, self.index.len() as u64);
         for b in &self.index {
@@ -537,21 +511,13 @@ impl CorpusWriter {
             footer.push(b.codec as u8);
             write_vu64(&mut footer, b.raw_bytes);
         }
-        // Per-block payload checksums, then the footer's own checksum:
-        // the 4 trailing CRC bytes cover everything above them.
+        // Per-block payload checksums; the envelope appends the footer's
+        // own checksum and publishes the file.
         write_vu64(&mut footer, self.index.len() as u64);
         for b in &self.index {
             write_vu64(&mut footer, u64::from(b.crc));
         }
-        footer.extend_from_slice(&crc32(&footer).to_le_bytes());
-        self.out.write_all(&footer)?;
-        self.out.write_all(&footer_offset.to_le_bytes())?;
-        self.out.write_all(STORE_MAGIC)?;
-        self.out.flush()?;
-        // Publish atomically: the store exists under its final name only
-        // once every byte (and checksum) above is on disk.
-        std::fs::rename(&self.tmp_path, &self.final_path)?;
-        let data_bytes = footer_offset - STORE_MAGIC.len() as u64;
+        let data_bytes = self.out.finish(&footer)?;
         Ok(StoreMeta {
             name: self.name,
             num_docs: self.num_docs,
@@ -606,32 +572,12 @@ pub fn save_store_codec(
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Positioned read at `offset`, independent of any shared cursor so
-/// concurrent map splits can read blocks from one shared handle.
-fn read_exact_at(file: &File, path: &Path, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        let _ = path;
-        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        // Fallback for cursor-only platforms: a private handle per read.
-        use std::io::Seek;
-        let _ = file;
-        let mut f = File::open(path)?;
-        f.seek(io::SeekFrom::Start(offset))?;
-        f.read_exact(buf)
-    }
-}
-
 /// Random-access reader over a store file: opens by reading only the
 /// trailer and footer, then serves whole blocks via positioned reads.
 /// Shareable across threads behind an [`Arc`] — block reads never touch
 /// a shared cursor.
 pub struct CorpusReader {
-    file: File,
-    path: PathBuf,
+    file: BlockFile,
     meta: StoreMeta,
     index: Vec<BlockEntry>,
     /// Dictionary terms with their stored cf, in id order.
@@ -644,71 +590,34 @@ pub struct CorpusReader {
 }
 
 impl CorpusReader {
-    /// Open `path`, validating magic and footer structure. Document
-    /// blocks are not read.
+    /// Open `path`, validating the envelope and footer structure.
+    /// Document blocks are not read.
     pub fn open(path: &Path) -> io::Result<Self> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < STORE_MAGIC.len() as u64 + TRAILER_BYTES {
-            return Err(bad("file too short"));
-        }
-        let mut magic = [0u8; 8];
-        read_exact_at(&file, path, &mut magic, 0)?;
-        if &magic != STORE_MAGIC {
-            return Err(bad("bad magic (not a block-store corpus)"));
-        }
-        let mut trailer = [0u8; TRAILER_BYTES as usize];
-        read_exact_at(&file, path, &mut trailer, file_len - TRAILER_BYTES)?;
-        if &trailer[8..] != STORE_MAGIC {
-            return Err(bad("bad trailer magic (truncated or not a store)"));
-        }
-        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        if footer_offset < STORE_MAGIC.len() as u64 || footer_offset > file_len - TRAILER_BYTES {
-            return Err(bad("footer offset out of bounds"));
-        }
-        let footer_len = (file_len - TRAILER_BYTES - footer_offset) as usize;
-        let mut footer = vec![0u8; footer_len];
-        read_exact_at(&file, path, &mut footer, footer_offset)?;
-        // The footer's last 4 bytes checksum everything before them:
-        // verify before trusting a single parsed field.
-        if footer_len < 4 {
-            return Err(bad("footer too short"));
-        }
-        let (footer, crc_bytes) = footer.split_at(footer_len - 4);
-        let stored_crc = u32::from_le_bytes(crc_bytes.try_into().expect("4 bytes"));
-        if crc32(footer) != stored_crc {
-            return Err(bad("footer checksum mismatch"));
-        }
-
+        let (file, footer) = BlockFile::open(path, STORE_MAGIC)?;
+        let footer = &footer[..];
         let pos = &mut 0usize;
-        let n_blocks = read_u64(footer, pos)? as usize;
-        let mut index = Vec::with_capacity(n_blocks.min(footer_len));
+        let n_blocks = read_vu64_at(footer, pos)? as usize;
+        let mut index = Vec::with_capacity(n_blocks.min(footer.len()));
         for _ in 0..n_blocks {
             let entry = BlockEntry {
-                offset: read_u64(footer, pos)?,
-                bytes: read_u64(footer, pos)?,
-                docs: read_u64(footer, pos)?,
-                first_did: read_u64(footer, pos)?,
+                offset: read_vu64_at(footer, pos)?,
+                bytes: read_vu64_at(footer, pos)?,
+                docs: read_vu64_at(footer, pos)?,
+                first_did: read_vu64_at(footer, pos)?,
                 codec: StoreCodec::Plain,
                 raw_bytes: 0,
                 crc: 0,
             };
-            let end = entry
-                .offset
-                .checked_add(entry.bytes)
-                .ok_or_else(|| bad("block extent overflows"))?;
-            if entry.offset < STORE_MAGIC.len() as u64 || end > footer_offset {
-                return Err(bad("block extent out of bounds"));
-            }
+            file.check_extent(entry.offset, entry.bytes)?;
             index.push(entry);
         }
         let name = read_str(footer, pos)?;
-        let num_docs = read_u64(footer, pos)?;
-        let num_sentences = read_u64(footer, pos)?;
-        let num_tokens = read_u64(footer, pos)?;
-        let sentence_len_sum_sq = read_u64(footer, pos)?;
-        let year_lo = read_u64(footer, pos)?;
-        let year_hi = read_u64(footer, pos)?;
+        let num_docs = read_vu64_at(footer, pos)?;
+        let num_sentences = read_vu64_at(footer, pos)?;
+        let num_tokens = read_vu64_at(footer, pos)?;
+        let sentence_len_sum_sq = read_vu64_at(footer, pos)?;
+        let year_lo = read_vu64_at(footer, pos)?;
+        let year_hi = read_vu64_at(footer, pos)?;
         let years = if num_docs == 0 {
             None
         } else {
@@ -719,19 +628,19 @@ impl CorpusReader {
         if index.iter().map(|b| b.docs).sum::<u64>() != num_docs {
             return Err(bad("block index disagrees with document count"));
         }
-        let n_terms = read_u64(footer, pos)? as usize;
-        let mut dict_counts = Vec::with_capacity(n_terms.min(footer_len));
+        let n_terms = read_vu64_at(footer, pos)? as usize;
+        let mut dict_counts = Vec::with_capacity(n_terms.min(footer.len()));
         for _ in 0..n_terms {
             let term = read_str(footer, pos)?;
-            let cf = read_u64(footer, pos)?;
+            let cf = read_vu64_at(footer, pos)?;
             dict_counts.push((term, cf));
         }
-        let n_cf = read_u64(footer, pos)? as usize;
-        let mut unigram_cf = Vec::with_capacity(n_cf.min(footer_len));
+        let n_cf = read_vu64_at(footer, pos)? as usize;
+        let mut unigram_cf = Vec::with_capacity(n_cf.min(footer.len()));
         for _ in 0..n_cf {
-            unigram_cf.push(read_u64(footer, pos)?);
+            unigram_cf.push(read_vu64_at(footer, pos)?);
         }
-        let n_codec = read_u64(footer, pos)? as usize;
+        let n_codec = read_vu64_at(footer, pos)? as usize;
         if n_codec != index.len() {
             return Err(bad("codec index disagrees with block index"));
         }
@@ -741,7 +650,7 @@ impl CorpusReader {
                 .ok_or_else(|| bad("truncated codec index"))?;
             *pos += 1;
             b.codec = StoreCodec::from_byte(byte)?;
-            b.raw_bytes = read_u64(footer, pos)?;
+            b.raw_bytes = read_vu64_at(footer, pos)?;
             match b.codec {
                 StoreCodec::Plain if b.raw_bytes != b.bytes => {
                     return Err(bad("plain block raw size disagrees with stored size"));
@@ -755,12 +664,12 @@ impl CorpusReader {
                 return Err(bad("block raw size implausible"));
             }
         }
-        let n_crc = read_u64(footer, pos)? as usize;
+        let n_crc = read_vu64_at(footer, pos)? as usize;
         if n_crc != index.len() {
             return Err(bad("checksum index disagrees with block index"));
         }
         for b in &mut index {
-            b.crc = u32::try_from(read_u64(footer, pos)?)
+            b.crc = u32::try_from(read_vu64_at(footer, pos)?)
                 .map_err(|_| bad("block checksum out of range"))?;
         }
         if *pos != footer.len() {
@@ -784,7 +693,6 @@ impl CorpusReader {
         };
         Ok(CorpusReader {
             file,
-            path: path.to_path_buf(),
             meta,
             index,
             dict_counts,
@@ -796,6 +704,12 @@ impl CorpusReader {
     /// Collection metadata from the footer (no block I/O).
     pub fn meta(&self) -> &StoreMeta {
         &self.meta
+    }
+
+    /// CRC32 of the footer, which records every block's extent and CRC:
+    /// an identity of the store's content.
+    pub fn footer_crc(&self) -> u32 {
+        self.file.footer_crc()
     }
 
     /// Number of document blocks.
@@ -826,22 +740,17 @@ impl CorpusReader {
     /// buffer a consumer ever materializes beyond the on-disk bytes.
     pub fn read_block(&self, i: usize) -> io::Result<Vec<Document>> {
         let entry = self.index[i];
-        let mut disk = vec![0u8; entry.bytes as usize];
-        read_exact_at(&self.file, &self.path, &mut disk, entry.offset)?;
         // Integrity gate: the payload checksum must match the footer's
         // before any decode logic sees the bytes.
-        if crc32(&disk) != entry.crc {
-            return Err(bad(&format!(
-                "checksum mismatch in {} at block {i}",
-                self.path.display()
-            )));
-        }
+        let disk = self
+            .file
+            .read_block(i, entry.offset, entry.bytes, entry.crc)?;
         let buf = match entry.codec {
             StoreCodec::Plain => disk,
             StoreCodec::Lz => store_codec::unpack(&disk, entry.raw_bytes as usize)?,
             StoreCodec::Rank => {
                 let pos = &mut 0usize;
-                let ranked_len = read_u64(&disk, pos)? as usize;
+                let ranked_len = read_vu64_at(&disk, pos)? as usize;
                 if ranked_len as u64 > 10 * entry.raw_bytes + 16 {
                     return Err(bad("rank stream implausibly large"));
                 }
@@ -850,27 +759,12 @@ impl CorpusReader {
             }
         };
         let pos = &mut 0usize;
-        // Footer counts are untrusted until decode succeeds: clamp every
+        // Footer counts are untrusted until decode succeeds: clamp the
         // pre-allocation by the block's real byte size (a document costs
-        // at least one byte per field) so a corrupt count degrades into a
-        // decode error, never an allocation blow-up.
+        // at least one byte per field).
         let mut docs = Vec::with_capacity((entry.docs as usize).min(buf.len()));
         for _ in 0..entry.docs {
-            let id = read_u64(&buf, pos)?;
-            let year = u16::try_from(read_u64(&buf, pos)?).map_err(|_| bad("year out of range"))?;
-            let n_sent = read_u64(&buf, pos)? as usize;
-            let mut sentences = Vec::with_capacity(n_sent.min(buf.len()));
-            for _ in 0..n_sent {
-                let len = read_u64(&buf, pos)? as usize;
-                let mut s = Vec::with_capacity(len.min(buf.len()));
-                read_vu32_seq(&buf, pos, len, &mut s).map_err(|_| bad("bad term sequence"))?;
-                sentences.push(s);
-            }
-            docs.push(Document {
-                id,
-                year,
-                sentences,
-            });
+            docs.push(read_doc(&buf, pos)?);
         }
         if *pos != buf.len() {
             return Err(bad("trailing bytes in block"));
@@ -890,15 +784,15 @@ impl CorpusReader {
         let mut docs = Vec::with_capacity((entry.docs as usize).min(ranked.len()));
         for _ in 0..entry.docs {
             let start = *pos;
-            let id = read_u64(ranked, pos)?;
+            let id = read_vu64_at(ranked, pos)?;
             let year =
-                u16::try_from(read_u64(ranked, pos)?).map_err(|_| bad("year out of range"))?;
-            let n_sent = read_u64(ranked, pos)? as usize;
+                u16::try_from(read_vu64_at(ranked, pos)?).map_err(|_| bad("year out of range"))?;
+            let n_sent = read_vu64_at(ranked, pos)? as usize;
             plain_len += (*pos - start) as u64;
             let mut sentences = Vec::with_capacity(n_sent.min(ranked.len()));
             for _ in 0..n_sent {
                 let start = *pos;
-                let len = read_u64(ranked, pos)? as usize;
+                let len = read_vu64_at(ranked, pos)? as usize;
                 plain_len += (*pos - start) as u64;
                 let mut s: Vec<u32> = Vec::with_capacity(len.min(ranked.len()));
                 while s.len() < len {
@@ -913,7 +807,7 @@ impl CorpusReader {
                         *pos += 2;
                         u64::from(b0 & 0x7f) | (u64::from(b1) << 7)
                     } else {
-                        read_u64(ranked, pos)?
+                        read_vu64_at(ranked, pos)?
                     };
                     if v < RANK_RUN_ESCAPE {
                         let term = *self
@@ -926,8 +820,8 @@ impl CorpusReader {
                         if v != RANK_RUN_ESCAPE {
                             return Err(bad("rank out of range"));
                         }
-                        let rank = read_u64(ranked, pos)?;
-                        let run = read_u64(ranked, pos)? as usize;
+                        let rank = read_vu64_at(ranked, pos)?;
+                        let run = read_vu64_at(ranked, pos)? as usize;
                         if run < RANK_RUN_MIN || s.len() + run > len {
                             return Err(bad("bad term run"));
                         }
@@ -980,6 +874,8 @@ mod tests {
     use crate::encode;
     use crate::generator::generate;
     use crate::profile::CorpusProfile;
+    use mapreduce::crc32;
+    use std::path::PathBuf;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("corpus-store-{}-{tag}.ngs", std::process::id()))
@@ -1512,5 +1408,60 @@ mod tests {
         assert_eq!(reader.num_blocks(), 0);
         assert!(reader.load_collection().unwrap().docs.is_empty());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// A fixed, generator-independent collection: 40 documents over a
+    /// 12-term vocabulary with repetitive sentences, so the rank and lz
+    /// codecs both shrink its block.
+    fn golden_collection() -> Collection {
+        let terms = [
+            "the", "of", "and", "to", "in", "a", "is", "that", "for", "it", "as", "was",
+        ];
+        let docs: Vec<Document> = (0..40u64)
+            .map(|d| Document {
+                id: 1000 + d,
+                year: 1990 + (d % 7) as u16,
+                sentences: (0..3u64)
+                    .map(|s| {
+                        (0..4 + (d + s) % 9)
+                            .map(|k| ((d * 5 + s * 3 + k * k) % 12) as u32)
+                            .collect()
+                    })
+                    .collect(),
+            })
+            .collect();
+        let mut cf = [0u64; 12];
+        for t in docs.iter().flat_map(|d| d.sentences.iter().flatten()) {
+            cf[*t as usize] += 1;
+        }
+        let dictionary =
+            Dictionary::from_counts(terms.iter().zip(cf).map(|(t, c)| (t.to_string(), c)));
+        Collection {
+            name: "golden".into(),
+            docs,
+            dictionary,
+        }
+    }
+
+    /// The sealed bytes of every codec, pinned by length and CRC32 so a
+    /// change to the writer that moves a single byte fails here.
+    #[test]
+    fn store_bytes_match_golden_constants() {
+        let coll = golden_collection();
+        let golden = [
+            (StoreCodec::Plain, 1391, 0x8cce_a2ca),
+            (StoreCodec::Rank, 875, 0xe315_0012),
+            (StoreCodec::Lz, 877, 0x5ea8_f49b),
+        ];
+        for (codec, len, crc) in golden {
+            let path = temp_path(&format!("golden-{}", codec.name()));
+            save_store_codec(&coll, &path, codec).unwrap();
+            let reader = CorpusReader::open(&path).unwrap();
+            assert_eq!(reader.block_entry(0).codec, codec, "codec must engage");
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.len(), len, "{} length", codec.name());
+            assert_eq!(crc32(&bytes), crc, "{} bytes", codec.name());
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -20,8 +20,7 @@
 //! length: every size is clamped against the caller-supplied decoded size,
 //! which the store's footer carries per block.
 
-use crate::wire::read_u64;
-use mapreduce::write_vu64;
+use mapreduce::{read_vu64_at, write_vu64};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::io;
@@ -88,7 +87,7 @@ pub(crate) fn lz_decompress(src: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
     let mut out = Vec::with_capacity(raw_len);
     let pos = &mut 0usize;
     while out.len() < raw_len {
-        let op = read_u64(src, pos)?;
+        let op = read_vu64_at(src, pos)?;
         if op & 1 == 0 {
             let lit = op >> 1;
             if lit == 0 {
@@ -109,7 +108,7 @@ pub(crate) fn lz_decompress(src: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
             if out.len() as u64 + len > raw_len as u64 {
                 return Err(bad("match overruns the block"));
             }
-            let off = read_u64(src, pos)?;
+            let off = read_vu64_at(src, pos)?;
             if off == 0 || off > out.len() as u64 {
                 return Err(bad("match offset out of bounds"));
             }
@@ -239,7 +238,7 @@ pub(crate) fn huff_compress(src: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
 /// garbage.
 pub(crate) fn huff_decompress(buf: &[u8], out_len: usize) -> io::Result<Vec<u8>> {
     let pos = &mut 0usize;
-    let n_used = read_u64(buf, pos)? as usize;
+    let n_used = read_vu64_at(buf, pos)? as usize;
     if n_used > 256 {
         return Err(bad("oversized huffman table"));
     }
@@ -386,7 +385,7 @@ pub(crate) fn pack(src: &[u8], out: &mut Vec<u8>) -> io::Result<()> {
 /// consuming all of `buf`.
 pub(crate) fn unpack(buf: &[u8], raw_len: usize) -> io::Result<Vec<u8>> {
     let pos = &mut 0usize;
-    let ops_len = read_u64(buf, pos)?;
+    let ops_len = read_vu64_at(buf, pos)?;
     // An op stream is never much larger than its decoded form (a 4-byte
     // match costs at most 6 op bytes); 2× + slack bounds any allocation
     // a corrupt length could request.

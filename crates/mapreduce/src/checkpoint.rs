@@ -16,9 +16,10 @@
 //! and a stale manifest (different fingerprint at the same job position)
 //! is refused with [`MrError::CheckpointMismatch`].
 //!
-//! Every durable write reuses the spill writers' `.tmp` → rename commit:
-//! the `.done` record is renamed into place only after its runs are, so
-//! a crash at any point leaves nothing a resume would wrongly trust.
+//! Every durable write goes through the staged publish of
+//! [`blockfile`](crate::blockfile): the `.done` record is renamed into
+//! place only after its runs are, so a crash at any point leaves nothing
+//! a resume would wrongly trust.
 //! Checkpoint write failures (e.g. `ENOSPC`) never fail the job — the
 //! spec degrades to checkpoint-off with a warning and the job continues.
 
@@ -50,8 +51,8 @@ pub struct CheckpointSpec {
 
 impl CheckpointSpec {
     /// Checkpoint under `dir`, keyed by `token` — the caller's identity
-    /// for the computation's input and parameters (the CLI hashes the
-    /// input path, its size, and the method/parameter string). The token
+    /// for the computation's input and parameters (the CLI uses a CRC of
+    /// the input's content and the method/parameter string). The token
     /// is folded into every job fingerprint, so resuming against a
     /// manifest written for different input or parameters is refused.
     pub fn new(dir: impl Into<PathBuf>, token: impl Into<String>) -> Self {
@@ -470,8 +471,8 @@ fn siblings_with_prefix(dir: &Path, prefix: &str) -> Result<Vec<String>> {
     Ok(found)
 }
 
-/// Write `lines` plus a trailing `crc\tXXXXXXXX` guard line, staged
-/// through `.tmp` and renamed into place. Returns the bytes written.
+/// Write `lines` plus a trailing `crc\tXXXXXXXX` guard line, published
+/// through a staged file. Returns the bytes written.
 pub(crate) fn write_record_file(path: &Path, lines: &[String]) -> Result<u64> {
     let mut body = String::new();
     for line in lines {
@@ -480,11 +481,7 @@ pub(crate) fn write_record_file(path: &Path, lines: &[String]) -> Result<u64> {
     }
     let crc = crc32(body.as_bytes());
     body.push_str(&format!("crc\t{crc:08x}\n"));
-    let mut tmp = path.to_path_buf().into_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    std::fs::write(&tmp, body.as_bytes())?;
-    std::fs::rename(&tmp, path)?;
+    crate::blockfile::publish(path, body.as_bytes())?;
     Ok(body.len() as u64)
 }
 

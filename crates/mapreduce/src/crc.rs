@@ -3,8 +3,8 @@
 //! decode. Table-driven, dependency-free, and `const`-built so the table
 //! lives in rodata.
 //!
-//! The corpus store and segment formats reuse this through the crate's
-//! public re-export rather than carrying their own copies.
+//! The block-file envelope of the corpus store and segment formats
+//! ([`blockfile`](crate::blockfile)) reuses it too.
 
 /// The reflected IEEE polynomial (same as zlib's `crc32`).
 const POLY: u32 = 0xEDB8_8320;
@@ -61,6 +61,18 @@ impl Crc32 {
     /// Finish and return the checksum value.
     pub fn finish(self) -> u32 {
         !self.state
+    }
+}
+
+/// Streams bytes into the checksum, e.g. through `std::io::copy`.
+impl std::io::Write for Crc32 {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.update(buf);
+        Ok(buf.len())
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        Ok(())
     }
 }
 

@@ -101,9 +101,22 @@ impl std::error::Error for MrError {
     }
 }
 
+/// Unwraps an [`MrError`] carried inside an `io::Error` (see below), so
+/// a checksum failure raised under an `io::Result` API stays typed.
 impl From<std::io::Error> for MrError {
     fn from(e: std::io::Error) -> Self {
-        MrError::Io(e)
+        e.downcast().unwrap_or_else(MrError::Io)
+    }
+}
+
+/// For `io::Result` APIs: an I/O error passes through, any other error
+/// travels as `InvalidData` carrying the [`MrError`].
+impl From<MrError> for std::io::Error {
+    fn from(e: MrError) -> Self {
+        match e {
+            MrError::Io(e) => e,
+            e => std::io::Error::new(std::io::ErrorKind::InvalidData, e),
+        }
     }
 }
 

@@ -69,6 +69,7 @@
 
 #![warn(missing_docs)]
 
+pub mod blockfile;
 mod buffer;
 mod checkpoint;
 mod cluster;

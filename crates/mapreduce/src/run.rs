@@ -34,17 +34,18 @@
 //! never depends on state older than one block.
 //!
 //! Runs live in memory by default; with `spill_to_disk` enabled they are
-//! written to a per-job temporary directory — through a `.tmp` path
+//! written to a per-job temporary directory — through a [`StagedFile`]
 //! renamed into place at seal, so a crashed writer never leaves a
 //! completed-looking spill file — modelling Hadoop's spill files and
 //! keeping map-task memory bounded by the sort buffer.
 
+use crate::blockfile::StagedFile;
 use crate::crc::crc32;
 use crate::error::{MrError, Result};
 use crate::fault::FaultPlan;
 use crate::io::{read_vu64_at, write_vu64};
 use std::fs::File;
-use std::io::{BufReader, BufWriter, ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -643,21 +644,18 @@ impl Run {
     }
 
     /// Durably copy the run's framed bytes to `path` (checkpoint
-    /// publication), staging through `path.tmp` and renaming into place so
-    /// a crash mid-copy never leaves a file a resume would trust. Returns
-    /// the number of bytes written.
+    /// publication), staged so a crash mid-copy never leaves a file a
+    /// resume would trust. Returns the number of bytes written.
     pub fn persist_to(&self, path: &Path) -> Result<u64> {
-        let mut tmp = path.to_path_buf().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
+        let mut out = StagedFile::create(path)?;
         let written = match &self.source {
             RunSource::Mem(data) => {
-                std::fs::write(&tmp, data.as_slice())?;
+                out.write_all(data)?;
                 data.len() as u64
             }
-            RunSource::File(src) => std::fs::copy(src, &tmp)?,
+            RunSource::File(src) => std::io::copy(&mut File::open(src)?, &mut out)?,
         };
-        std::fs::rename(&tmp, path)?;
+        out.commit()?;
         Ok(written)
     }
 }
@@ -665,21 +663,17 @@ impl Run {
 enum WriteBackend {
     /// In-memory run buffer.
     Mem { buf: Vec<u8> },
-    /// File-backed run (spill-to-disk mode). Bytes go to `tmp`, which is
-    /// atomically renamed to `path` when the run seals — a crash mid-run
-    /// leaves only a `.tmp` no reader ever opens.
-    File {
-        w: BufWriter<File>,
-        tmp: PathBuf,
-        path: PathBuf,
-    },
+    /// File-backed run (spill-to-disk mode), published at its final
+    /// path only when the run seals — a crash mid-run leaves only a
+    /// staging file no reader ever opens.
+    File(StagedFile),
 }
 
 impl WriteBackend {
     fn write(&mut self, bytes: &[u8]) -> Result<()> {
         match self {
             WriteBackend::Mem { buf } => buf.extend_from_slice(bytes),
-            WriteBackend::File { w, .. } => w.write_all(bytes)?,
+            WriteBackend::File(out) => out.write_all(bytes)?,
         }
         Ok(())
     }
@@ -723,19 +717,8 @@ impl RunWriter {
 
     /// Start a file-backed run inside `dir` encoded with `codec`.
     pub fn file_codec(dir: &TempDir, codec: RunCodec) -> Result<Self> {
-        let path = dir.next_path();
-        let mut tmp = path.clone().into_os_string();
-        tmp.push(".tmp");
-        let tmp = PathBuf::from(tmp);
-        let f = File::create(&tmp)?;
-        Ok(Self::new(
-            WriteBackend::File {
-                w: BufWriter::with_capacity(128 * 1024, f),
-                tmp,
-                path,
-            },
-            codec,
-        ))
+        let out = StagedFile::create(&dir.next_path())?;
+        Ok(Self::new(WriteBackend::File(out), codec))
     }
 
     fn new(backend: WriteBackend, codec: RunCodec) -> Self {
@@ -831,19 +814,14 @@ impl RunWriter {
         self.records
     }
 
-    /// Finish and seal the run. File-backed runs are renamed from their
-    /// `.tmp` write path into place only here, so a reader can never open
-    /// a partially written run.
+    /// Finish and seal the run. File-backed runs are published at their
+    /// final path only here, so a reader can never open a partially
+    /// written run.
     pub fn finish(mut self) -> Result<Run> {
         self.flush_block()?;
         let source = match self.backend {
             WriteBackend::Mem { buf } => RunSource::Mem(Arc::new(buf)),
-            WriteBackend::File { mut w, tmp, path } => {
-                w.flush()?;
-                drop(w);
-                std::fs::rename(&tmp, &path)?;
-                RunSource::File(path)
-            }
+            WriteBackend::File(out) => RunSource::File(out.commit()?),
         };
         Ok(Run {
             source,

@@ -289,7 +289,7 @@ struct Spool {
 impl Spool {
     fn create() -> Result<Spool> {
         let path = std::env::temp_dir().join(format!(
-            "mr-writer-spool-{}-{}.tmp",
+            "mr-writer-spool-{}-{}.spool",
             std::process::id(),
             SPOOL_SEQ.fetch_add(1, Ordering::Relaxed)
         ));

@@ -21,6 +21,7 @@ use crate::segment::SegmentReader;
 use crate::sink::SegmentSinkFactory;
 use corpus::Dictionary;
 use kvstore::LruCache;
+use mapreduce::blockfile::{publish, StagedFile};
 use mapreduce::{read_vu64_at, to_bytes, write_vu64, Cluster, MrError, Result, RunCodec};
 use ngrams::{Computation, CountMode, Gram};
 use parking_lot::Mutex;
@@ -103,17 +104,14 @@ pub fn build_index(
     let (metas, _stats) = computation.run_to_sink(cluster, &sinks)?;
     let entries: u64 = metas.iter().map(|m| m.entries).sum();
 
-    // Dictionary and manifest are staged at `.tmp` and renamed into
-    // place, so a crash mid-build never leaves a directory that opens
-    // with a truncated dictionary or manifest.
-    let terms_tmp = dir.join(format!("{TERMS_FILE}.tmp"));
-    let mut terms = std::io::BufWriter::new(std::fs::File::create(&terms_tmp)?);
+    // Dictionary and manifest are staged and renamed into place, so a
+    // crash mid-build never leaves a directory that opens with a
+    // truncated dictionary or manifest.
+    let mut terms = StagedFile::create(&dir.join(TERMS_FILE))?;
     for (_id, term, cf) in dictionary.iter() {
         writeln!(terms, "{term}\t{cf}")?;
     }
-    terms.flush()?;
-    drop(terms);
-    std::fs::rename(&terms_tmp, dir.join(TERMS_FILE))?;
+    terms.commit()?;
 
     let params = computation.params();
     let mut manifest = String::new();
@@ -132,9 +130,7 @@ pub fn build_index(
     let _ = writeln!(manifest, "entries\t{entries}");
     // The manifest is written last: its presence marks the index
     // complete, so it must never exist before every segment is sealed.
-    let manifest_tmp = dir.join(format!("{MANIFEST_FILE}.tmp"));
-    std::fs::write(&manifest_tmp, manifest)?;
-    std::fs::rename(&manifest_tmp, dir.join(MANIFEST_FILE))?;
+    publish(&dir.join(MANIFEST_FILE), manifest.as_bytes())?;
 
     Ok(IndexMeta {
         dir: dir.to_path_buf(),

@@ -19,25 +19,19 @@
 //! trailer := [footer-offset: u64 LE]  magic                  (16 bytes)
 //! ```
 //!
-//! The layout mirrors the corpus store (`NGRAMMR3`): a fixed trailer
-//! locates the footer with two positioned reads at open; block payloads
-//! are only touched by queries. First/last keys in the block index bound
+//! Magic, blocks, footer CRC and trailer are the [`mapreduce::blockfile`]
+//! envelope shared with the corpus store (`NGRAMMR3`): open reads only
+//! the trailer and footer, and first/last keys in the block index bound
 //! every block, so a lookup reads at most one block and a prefix scan
-//! reads exactly the overlapping range.
-//!
-//! Integrity and atomicity: the footer carries a CRC32 over its own
-//! bytes (verified at open) and each index entry carries a CRC32 over
-//! its encoded block (verified before decode), so a flipped bit anywhere
-//! is a typed [`MrError`] — never a silently wrong count. The writer
-//! stages the file at `<path>.tmp` and renames it into place at finish,
-//! so a crash mid-build never leaves a half-written segment where the
-//! index expects a sealed one.
+//! exactly the overlapping range. A flipped bit anywhere is a typed
+//! [`MrError`] (footer CRC at open, block CRC before decode), never a
+//! silently wrong count; a crash mid-build never leaves a half-written
+//! segment under its final name.
 
+use mapreduce::blockfile::{BlockFile, BlockFileWriter};
 use mapreduce::{
-    crc32, decode_block, read_vu64_at, write_vu64, BlockEncoder, MrError, Result, RunCodec,
+    decode_block, read_vu64_at, write_vu64, BlockEncoder, ByteReader, MrError, Result, RunCodec,
 };
-use std::fs::File;
-use std::io::{self, BufWriter, Write};
 use std::path::{Path, PathBuf};
 
 /// Magic bytes opening and closing a segment file.
@@ -51,9 +45,6 @@ pub const SEGMENT_BLOCK_BYTES: usize = 8 * 1024;
 /// How many of the highest-frequency entries a segment records in its
 /// footer by default — the precomputed half of the top-k endpoint.
 pub const SEGMENT_TOP_ENTRIES: usize = 1024;
-
-/// Fixed trailer size: `[footer-offset: u64 LE][magic]`.
-const TRAILER_BYTES: u64 = 16;
 
 fn bad(msg: &'static str) -> MrError {
     MrError::Corrupt(msg)
@@ -81,15 +72,9 @@ fn write_bytes(out: &mut Vec<u8>, bytes: &[u8]) {
     out.extend_from_slice(bytes);
 }
 
-fn read_bytes(buf: &[u8], pos: &mut usize) -> Result<Vec<u8>> {
-    let len = read_vu64_at(buf, pos)? as usize;
-    let end = pos
-        .checked_add(len)
-        .filter(|&e| e <= buf.len())
-        .ok_or(bad("segment footer byte string out of bounds"))?;
-    let out = buf[*pos..end].to_vec();
-    *pos = end;
-    Ok(out)
+fn read_bytes(r: &mut ByteReader<'_>) -> Result<Vec<u8>> {
+    let len = r.read_vu64()? as usize;
+    Ok(r.read_bytes(len)?.to_vec())
 }
 
 /// One entry of a segment's block index.
@@ -133,16 +118,14 @@ pub struct SegmentMeta {
 /// [`SEGMENT_BLOCK_BYTES`] of raw frames, tracks the block index, and
 /// keeps the running top entries by count for the footer.
 pub struct SegmentWriter {
-    out: BufWriter<File>,
+    out: BlockFileWriter,
     path: PathBuf,
-    tmp_path: PathBuf,
     codec: RunCodec,
     block_budget: usize,
     top_budget: usize,
     encoder: BlockEncoder,
     scratch: Vec<u8>,
     val_buf: Vec<u8>,
-    offset: u64,
     first_key: Vec<u8>,
     last_key: Vec<u8>,
     block_records: u64,
@@ -155,29 +138,17 @@ pub struct SegmentWriter {
 impl SegmentWriter {
     /// Create a segment at `path` encoded with `codec`.
     pub fn create(path: &Path, codec: RunCodec) -> Result<Self> {
-        if let Some(dir) = path.parent() {
-            if !dir.as_os_str().is_empty() {
-                std::fs::create_dir_all(dir)?;
-            }
-        }
-        // Stage at `<path>.tmp`; finish() renames into place so readers
-        // only ever see fully sealed segments under the final name.
-        let mut tmp = path.as_os_str().to_os_string();
-        tmp.push(".tmp");
-        let tmp_path = PathBuf::from(tmp);
-        let mut out = BufWriter::with_capacity(128 * 1024, File::create(&tmp_path)?);
-        out.write_all(SEGMENT_MAGIC)?;
+        // Staged: readers only ever see fully sealed segments under the
+        // final name.
         Ok(SegmentWriter {
-            out,
+            out: BlockFileWriter::create(path, SEGMENT_MAGIC)?,
             path: path.to_path_buf(),
-            tmp_path,
             codec,
             block_budget: SEGMENT_BLOCK_BYTES,
             top_budget: SEGMENT_TOP_ENTRIES,
             encoder: BlockEncoder::new(codec),
             scratch: Vec::new(),
             val_buf: Vec::new(),
-            offset: SEGMENT_MAGIC.len() as u64,
             first_key: Vec::new(),
             last_key: Vec::new(),
             block_records: 0,
@@ -236,24 +207,23 @@ impl SegmentWriter {
         }
         self.scratch.clear();
         self.encoder.encode_into(&mut self.scratch);
-        self.out.write_all(&self.scratch)?;
+        let extent = self.out.append(&self.scratch)?;
         self.index.push(SegmentBlock {
-            offset: self.offset,
-            bytes: self.scratch.len() as u64,
+            offset: extent.offset,
+            bytes: extent.bytes,
             records: self.block_records,
-            crc: crc32(&self.scratch),
+            crc: extent.crc,
             first_key: self.first_key.clone(),
             last_key: self.last_key.clone(),
         });
-        self.offset += self.scratch.len() as u64;
         self.block_records = 0;
         Ok(())
     }
 
-    /// Seal the segment: flush the last block, write footer and trailer.
+    /// Seal the segment: flush the last block, write the footer, and
+    /// publish the file.
     pub fn finish(mut self) -> Result<SegmentMeta> {
         self.flush_block()?;
-        let footer_offset = self.offset;
         let mut footer = Vec::new();
         write_vu64(&mut footer, codec_id(self.codec));
         write_vu64(&mut footer, self.entries);
@@ -275,17 +245,12 @@ impl SegmentWriter {
             write_vu64(&mut footer, *count);
             write_bytes(&mut footer, key);
         }
-        self.out.write_all(&footer)?;
-        self.out.write_all(&crc32(&footer).to_le_bytes())?;
-        self.out.write_all(&footer_offset.to_le_bytes())?;
-        self.out.write_all(SEGMENT_MAGIC)?;
-        self.out.flush()?;
-        std::fs::rename(&self.tmp_path, &self.path)?;
+        let data_bytes = self.out.finish(&footer)?;
         Ok(SegmentMeta {
             path: self.path,
             entries: self.entries,
             blocks: self.index.len() as u64,
-            data_bytes: footer_offset - SEGMENT_MAGIC.len() as u64,
+            data_bytes,
             codec: self.codec,
         })
     }
@@ -295,93 +260,37 @@ impl SegmentWriter {
 // Reader
 // ---------------------------------------------------------------------------
 
-/// Positioned read at `offset`, shareable across query threads (no shared
-/// cursor) — the same primitive the corpus store reader uses.
-fn read_exact_at(file: &File, path: &Path, buf: &mut [u8], offset: u64) -> io::Result<()> {
-    #[cfg(unix)]
-    {
-        let _ = path;
-        std::os::unix::fs::FileExt::read_exact_at(file, buf, offset)
-    }
-    #[cfg(not(unix))]
-    {
-        use std::io::{Read, Seek};
-        let _ = file;
-        let mut f = File::open(path)?;
-        f.seek(io::SeekFrom::Start(offset))?;
-        f.read_exact(buf)
-    }
-}
-
 /// Random-access reader over one segment: opens by trailer + footer only,
 /// then serves whole blocks via positioned reads. Shareable across query
 /// worker threads behind an `Arc`.
 pub struct SegmentReader {
-    file: File,
-    path: PathBuf,
+    file: BlockFile,
     codec: RunCodec,
     entries: u64,
     index: Vec<SegmentBlock>,
     top: Vec<(u64, Vec<u8>)>,
-    data_bytes: u64,
 }
 
 impl SegmentReader {
-    /// Open `path`, validating magic and footer structure.
+    /// Open `path`, validating the envelope and footer structure.
     pub fn open(path: &Path) -> Result<Self> {
-        let file = File::open(path)?;
-        let file_len = file.metadata()?.len();
-        if file_len < SEGMENT_MAGIC.len() as u64 + TRAILER_BYTES {
-            return Err(bad("segment file too short"));
-        }
-        let mut magic = [0u8; 8];
-        read_exact_at(&file, path, &mut magic, 0)?;
-        if &magic != SEGMENT_MAGIC {
-            return Err(bad("bad segment magic"));
-        }
-        let mut trailer = [0u8; TRAILER_BYTES as usize];
-        read_exact_at(&file, path, &mut trailer, file_len - TRAILER_BYTES)?;
-        if &trailer[8..] != SEGMENT_MAGIC {
-            return Err(bad("bad segment trailer magic"));
-        }
-        let footer_offset = u64::from_le_bytes(trailer[..8].try_into().expect("8 bytes"));
-        if footer_offset < SEGMENT_MAGIC.len() as u64 || footer_offset > file_len - TRAILER_BYTES {
-            return Err(bad("segment footer offset out of bounds"));
-        }
-        let footer_len = (file_len - TRAILER_BYTES - footer_offset) as usize;
-        if footer_len < 4 {
-            return Err(bad("segment footer too short for its checksum"));
-        }
-        let mut raw_footer = vec![0u8; footer_len];
-        read_exact_at(&file, path, &mut raw_footer, footer_offset)?;
-        let (footer, crc_bytes) = raw_footer.split_at(footer_len - 4);
-        let stored = u32::from_le_bytes(crc_bytes.try_into().expect("split_at leaves 4 bytes"));
-        if crc32(footer) != stored {
-            return Err(bad("segment footer checksum mismatch"));
-        }
-
-        let pos = &mut 0usize;
-        let codec = codec_from_id(read_vu64_at(footer, pos)?)?;
-        let entries = read_vu64_at(footer, pos)?;
-        let n_blocks = read_vu64_at(footer, pos)? as usize;
-        let mut index = Vec::with_capacity(n_blocks.min(footer_len));
+        let (file, footer) = BlockFile::open(path, SEGMENT_MAGIC)?;
+        let r = &mut ByteReader::new(&footer);
+        let codec = codec_from_id(r.read_vu64()?)?;
+        let entries = r.read_vu64()?;
+        let n_blocks = r.read_vu64()? as usize;
+        let mut index = Vec::with_capacity(n_blocks.min(footer.len()));
         for _ in 0..n_blocks {
             let block = SegmentBlock {
-                offset: read_vu64_at(footer, pos)?,
-                bytes: read_vu64_at(footer, pos)?,
-                records: read_vu64_at(footer, pos)?,
-                crc: u32::try_from(read_vu64_at(footer, pos)?)
+                offset: r.read_vu64()?,
+                bytes: r.read_vu64()?,
+                records: r.read_vu64()?,
+                crc: u32::try_from(r.read_vu64()?)
                     .map_err(|_| bad("segment block checksum out of range"))?,
-                first_key: read_bytes(footer, pos)?,
-                last_key: read_bytes(footer, pos)?,
+                first_key: read_bytes(r)?,
+                last_key: read_bytes(r)?,
             };
-            let end = block
-                .offset
-                .checked_add(block.bytes)
-                .ok_or(bad("segment block extent overflows"))?;
-            if block.offset < SEGMENT_MAGIC.len() as u64 || end > footer_offset {
-                return Err(bad("segment block extent out of bounds"));
-            }
+            file.check_extent(block.offset, block.bytes)?;
             if block.first_key > block.last_key {
                 return Err(bad("segment block key range inverted"));
             }
@@ -396,24 +305,22 @@ impl SegmentReader {
         if index.iter().map(|b| b.records).sum::<u64>() != entries {
             return Err(bad("segment block index disagrees with entry count"));
         }
-        let n_top = read_vu64_at(footer, pos)? as usize;
-        let mut top = Vec::with_capacity(n_top.min(footer_len));
+        let n_top = r.read_vu64()? as usize;
+        let mut top = Vec::with_capacity(n_top.min(footer.len()));
         for _ in 0..n_top {
-            let count = read_vu64_at(footer, pos)?;
-            let key = read_bytes(footer, pos)?;
+            let count = r.read_vu64()?;
+            let key = read_bytes(r)?;
             top.push((count, key));
         }
-        if *pos != footer.len() {
+        if !r.is_empty() {
             return Err(bad("trailing bytes in segment footer"));
         }
         Ok(SegmentReader {
             file,
-            path: path.to_path_buf(),
             codec,
             entries,
             index,
             top,
-            data_bytes: index_data_bytes(footer_offset),
         })
     }
 
@@ -429,7 +336,7 @@ impl SegmentReader {
 
     /// Encoded block payload bytes.
     pub fn data_bytes(&self) -> u64 {
-        self.data_bytes
+        self.index.iter().map(|b| b.bytes).sum()
     }
 
     /// The codec blocks are encoded with.
@@ -449,14 +356,9 @@ impl SegmentReader {
         f: &mut dyn FnMut(&[u8], u64) -> Result<()>,
     ) -> Result<()> {
         let entry = &self.index[i];
-        let mut buf = vec![0u8; entry.bytes as usize];
-        read_exact_at(&self.file, &self.path, &mut buf, entry.offset)?;
-        if crc32(&buf) != entry.crc {
-            return Err(MrError::ChecksumMismatch {
-                file: self.path.display().to_string(),
-                block: i as u64,
-            });
-        }
+        let buf = self
+            .file
+            .read_block(i, entry.offset, entry.bytes, entry.crc)?;
         decode_block(self.codec, buf, |key, val| {
             let mut vpos = 0usize;
             let count = read_vu64_at(val, &mut vpos)?;
@@ -546,13 +448,11 @@ impl SegmentReader {
     }
 }
 
-fn index_data_bytes(footer_offset: u64) -> u64 {
-    footer_offset - SEGMENT_MAGIC.len() as u64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mapreduce::blockfile::TRAILER_BYTES;
+    use mapreduce::crc32;
 
     fn temp_path(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("serve-seg-{}-{tag}.seg", std::process::id()))
@@ -781,5 +681,26 @@ mod tests {
         std::fs::write(&path, b"NOTASEGMENTxxxxxxxxxxxxxxxxx").unwrap();
         assert!(SegmentReader::open(&path).is_err());
         let _ = std::fs::remove_file(&path);
+    }
+
+    /// The sealed bytes of every codec, pinned by length and CRC32 so a
+    /// change to the writer that moves a single byte fails here.
+    #[test]
+    fn segment_bytes_match_golden_constants() {
+        let recs = sample_records(500);
+        let golden = [
+            (RunCodec::Plain, 5117, 0x9953_c550),
+            (RunCodec::FrontCoded, 4720, 0xfcdc_9a02),
+            (RunCodec::PostingDelta, 5218, 0xfd76_aff0),
+        ];
+        for (codec, len, crc) in golden {
+            let path = temp_path(&format!("golden-{}", codec.name()));
+            let meta = write_segment(&path, codec, &recs);
+            assert_eq!(meta.blocks, 39, "{codec:?}");
+            let bytes = std::fs::read(&path).unwrap();
+            assert_eq!(bytes.len(), len, "{codec:?} length");
+            assert_eq!(crc32(&bytes), crc, "{codec:?} bytes");
+            let _ = std::fs::remove_file(&path);
+        }
     }
 }

@@ -44,7 +44,7 @@
 //! `--checkpoint-dir DIR` makes `compute` and `index` crash-safe: every
 //! completed map task durably publishes its spill runs plus a CRC-guarded
 //! completion record under a manifest keyed by the computation's
-//! fingerprint (input path and size, method, τ/σ/mode/output). After a
+//! fingerprint (input content, method, τ/σ/mode/output). After a
 //! crash, re-running the same command with `--resume` skips the recorded
 //! tasks (`TASK_SKIPPED_CHECKPOINTED` counts them) and refuses a manifest
 //! written for different input or parameters. `--speculate F` enables
@@ -408,23 +408,39 @@ fn parse_params(args: &Args) -> NGramParams {
     }
 }
 
-/// Wire `--checkpoint-dir`/`--resume` into the job config. The spec
-/// token binds the manifest to this exact computation — input path and
-/// size plus every parameter that changes the task plan — so a resume
-/// against different input or parameters is refused, not silently
-/// merged.
-fn install_checkpoint(args: &Args, method: Method, params: &mut NGramParams) {
+/// Open `--input` and parse the method and parameters, wiring
+/// `--checkpoint-dir`/`--resume` into the job config. The checkpoint
+/// token binds the manifest to the input's content (a store's footer CRC,
+/// which covers every block CRC; a CRC32 streamed over a legacy blob)
+/// and every parameter that changes the task plan, so a resume against
+/// other input or parameters is refused, not silently merged.
+fn open_job(args: &Args) -> (CorpusInput, Method, NGramParams) {
+    let input = open_corpus(args);
+    let method = parse_method(args);
+    let mut params = parse_params(args);
     let Some(dir) = args.get("checkpoint-dir") else {
         if args.has("resume") {
             log_error!("cli", "--resume requires --checkpoint-dir");
             usage();
         }
-        return;
+        return (input, method, params);
     };
-    let input = args.require("input");
-    let size = std::fs::metadata(input).map(|m| m.len()).unwrap_or(0);
+    let content = match &input {
+        CorpusInput::Store(reader) => format!("store:{:08x}", reader.footer_crc()),
+        CorpusInput::Legacy(_) => {
+            let path = args.require("input");
+            let mut crc = mapreduce::Crc32::new();
+            let len = std::fs::File::open(path)
+                .and_then(|mut file| std::io::copy(&mut file, &mut crc))
+                .unwrap_or_else(|e| {
+                    log_error!("cli", "cannot read corpus {path}: {e}");
+                    std::process::exit(1)
+                });
+            format!("blob:{len}:{:08x}", crc.finish())
+        }
+    };
     let token = format!(
-        "{input}|{size}|{}|tau={}|sigma={}|mode={:?}|output={:?}",
+        "{content}|{}|tau={}|sigma={}|mode={:?}|output={:?}",
         method.name(),
         params.tau,
         params.sigma,
@@ -434,6 +450,7 @@ fn install_checkpoint(args: &Args, method: Method, params: &mut NGramParams) {
     params.job.checkpoint = Some(std::sync::Arc::new(
         mapreduce::CheckpointSpec::new(PathBuf::from(dir), token).resume(args.has("resume")),
     ));
+    (input, method, params)
 }
 
 /// Attach the right input shape for an auto-detected corpus: block
@@ -451,10 +468,7 @@ fn computation_for<'a>(
 }
 
 fn cmd_compute(args: &Args) -> ExitCode {
-    let input = open_corpus(args);
-    let method = parse_method(args);
-    let mut params = parse_params(args);
-    install_checkpoint(args, method, &mut params);
+    let (input, method, params) = open_job(args);
     let computation = computation_for(&input, method, &params);
     // Validate before opening --out: a doomed run must not truncate a
     // pre-existing results file.
@@ -552,10 +566,7 @@ fn cmd_timeseries(args: &Args) -> ExitCode {
 }
 
 fn cmd_index(args: &Args) -> ExitCode {
-    let input = open_corpus(args);
-    let method = parse_method(args);
-    let mut params = parse_params(args);
-    install_checkpoint(args, method, &mut params);
+    let (input, method, params) = open_job(args);
     let computation = computation_for(&input, method, &params);
     if let Err(e) = computation.validate() {
         log_error!("cli", "index build failed: {e}");

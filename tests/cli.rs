@@ -176,3 +176,64 @@ fn missing_subcommand_fails() {
     let err = String::from_utf8_lossy(&output.stderr);
     assert!(err.contains("usage"), "stderr: {err}");
 }
+
+/// `--resume` binds to the input's content, not its path or size: a
+/// legacy corpus rewritten at the same size (one term id changed) must
+/// refuse the old manifest instead of splicing the old corpus's map
+/// outputs into the new job.
+#[test]
+fn resume_refuses_input_rewritten_at_the_same_size() {
+    let corpus_path = temp_path("resume-content.bin");
+    let ckpt = temp_path("resume-content-ckpt");
+    let out = temp_path("resume-content.tsv");
+    let _ = std::fs::remove_dir_all(&ckpt);
+    let status = bin()
+        .args([
+            "generate",
+            "--profile",
+            "tiny",
+            "--scale",
+            "1.0",
+            "--seed",
+            "5",
+        ])
+        .arg("--out")
+        .arg(&corpus_path)
+        .status()
+        .expect("run generate");
+    assert!(status.success());
+    let compute = |resume: bool| {
+        let mut cmd = bin();
+        cmd.args(["compute", "--method", "suffix-sigma", "--tau", "1"])
+            .args(["--sigma", "3", "--slots", "1", "--input"])
+            .arg(&corpus_path)
+            .arg("--checkpoint-dir")
+            .arg(&ckpt)
+            .arg("--out")
+            .arg(&out);
+        if resume {
+            cmd.arg("--resume");
+        }
+        cmd.output().expect("run compute")
+    };
+    assert!(compute(false).status.success());
+    // The blob's last byte is a term id: flipping its low bit keeps the
+    // corpus loadable and the file the same length.
+    let mut bytes = std::fs::read(&corpus_path).unwrap();
+    let len = bytes.len();
+    bytes[len - 1] ^= 1;
+    std::fs::write(&corpus_path, &bytes).unwrap();
+    let resumed = compute(true);
+    assert!(
+        !resumed.status.success(),
+        "resume over rewritten input must fail"
+    );
+    let err = String::from_utf8_lossy(&resumed.stderr);
+    assert!(
+        err.contains("checkpoint manifest does not match"),
+        "stderr: {err}"
+    );
+    let _ = std::fs::remove_file(&corpus_path);
+    let _ = std::fs::remove_file(&out);
+    let _ = std::fs::remove_dir_all(&ckpt);
+}
